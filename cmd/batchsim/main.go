@@ -51,7 +51,6 @@ func main() {
 		seeds     = flag.String("seeds", "1", "comma-separated trace seeds; one table row per (seed, policy, model)")
 		seed      = flag.Uint64("seed", 7, "seed of the calibration kernel runs")
 		workers   = flag.Int("workers", 0, "calibration worker pool (0 = GOMAXPROCS; results are worker-count independent)")
-		shards    = flag.Int("shards", 1, "shard each calibration kernel run over host workers (results are shard-count independent)")
 		traceOut  = flag.String("trace-out", "", "write the first seed's generated trace as JSON and exit")
 	)
 	flag.Usage = func() {
@@ -149,7 +148,6 @@ func main() {
 		Trace:     trace,
 		Seed:      *seed,
 		Workers:   *workers,
-		Shards:    *shards,
 	})
 	if err != nil {
 		fatal(1, err)

@@ -143,55 +143,6 @@ type BatchReport struct {
 	Rows       []BatchBench `json:"rows"`
 }
 
-// ShardBench is one (topology, shard-count) cell of the conservative
-// parallel-sharding study: the same fast-forwarded HPL replication
-// workload with the run's CPUs partitioned over 1..chips host workers.
-// Every cell replays identical seeds and produces bitwise-identical
-// traces (the schedcheck shard oracle enforces it); the ratio is pure
-// host cost. ShardPhases counts catch-ups that actually fanned out — a
-// zero means the parallel path never ran and the row is vacuous.
-type ShardBench struct {
-	Topo             string  `json:"topo"`
-	CPUs             int     `json:"cpus"`
-	Shards           int     `json:"shards"`
-	Seconds          float64 `json:"seconds"`
-	ShardPhases      uint64  `json:"shard_phases"`
-	EventsDispatched uint64  `json:"events_dispatched"`
-	LaneFires        uint64  `json:"lane_fires"`
-	EventsPerSec     float64 `json:"events_per_host_sec"`
-	SpeedupVsSeq     float64 `json:"speedup_vs_sequential"`
-}
-
-// ShardCalibBench is the batch-layer row: one BatchCalibrate (the
-// cluster study's node-model calibration, already fast-forwarded)
-// sequential versus sharded.
-type ShardCalibBench struct {
-	Topo         string  `json:"topo"`
-	Reps         int     `json:"reps"`
-	Shards       int     `json:"shards"`
-	SecondsSeq   float64 `json:"seconds_sequential"`
-	SecondsShard float64 `json:"seconds_sharded"`
-	SpeedupVsSeq float64 `json:"speedup_vs_sequential"`
-}
-
-// ShardReport is the BENCH_shard.json record: events/sec versus shard
-// count. The host context matters more here than anywhere else — on a
-// single-core host the gang's workers time-slice one core, so the
-// speedup column measures coordination overhead, not parallelism.
-// The grain is pinned to 1 (fan out every eligible catch-up) so the
-// parallel path dominates the measurement instead of being amortized
-// away by the default threshold.
-type ShardReport struct {
-	GoMaxProcs int             `json:"gomaxprocs"`
-	NumCPU     int             `json:"num_cpu"`
-	GoVersion  string          `json:"go_version"`
-	Profile    string          `json:"profile"`
-	Scheme     string          `json:"scheme"`
-	Reps       int             `json:"reps"`
-	Rows       []ShardBench    `json:"rows"`
-	Calib      ShardCalibBench `json:"calibration"`
-}
-
 // SchedstatBench is one tracer-mode row of the observability-overhead
 // comparison: the same sequential replication workload with no tracer,
 // with the streaming JSONL writer, and with the accounting ledger.
@@ -235,11 +186,6 @@ func main() {
 		"wide-node scaling output file ('' to skip, '-' for stdout)")
 	batchOut := flag.String("batch-out", "BENCH_batch.json",
 		"batch-layer throughput output file ('' to skip, '-' for stdout)")
-	shardOut := flag.String("shard-out", "BENCH_shard.json",
-		"parallel-sharding output file ('' to skip, '-' for stdout)")
-	shardTopos := flag.String("shard-topos", "2x24x2,4x16x2",
-		"comma-separated topologies for the sharding study")
-	shardReps := flag.Int("shard-reps", 8, "replications per sharding-study cell")
 	batchJobs := flag.Int("batch-jobs", 2000, "jobs per batch throughput measurement")
 	scaleTopos := flag.String("scale-topos", "2x2x2,2x16x2,2x64x2,4x128x2",
 		"comma-separated topologies for the scaling study")
@@ -335,99 +281,6 @@ func main() {
 	if *batchOut != "" {
 		runBatch(*batchOut, *batchJobs)
 	}
-	if *shardOut != "" {
-		runShard(*shardOut, prof, *shardTopos, *shardReps)
-	}
-}
-
-func runShard(out string, prof nas.Profile, topos string, reps int) {
-	shardRep := ShardReport{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		GoVersion:  runtime.Version(),
-		Profile:    prof.Name(),
-		Scheme:     experiments.HPL.String(),
-		Reps:       reps,
-	}
-	// Grain 1 fans out every eligible catch-up, so the sharded replay path
-	// carries the run instead of firing only past the default threshold.
-	// Shard counts sweep powers of two up to the chip count (shards are
-	// chip-aligned, so chips is the ceiling).
-	for _, spec := range strings.Split(topos, ",") {
-		machine, err := topo.Parse(strings.TrimSpace(spec))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		var seqSec float64
-		for s := 1; s <= machine.Chips; s *= 2 {
-			o := experiments.Options{
-				Profile: prof, Scheme: experiments.HPL, Seed: 1,
-				Topo: machine, FastForward: true, Shards: s, ShardGrain: 1,
-			}
-			sw := walltime.Start()
-			experiments.RunManyOpt(o, reps, 1)
-			sec := sw.Seconds()
-			if s == 1 {
-				seqSec = sec
-			}
-			speedup := seqSec / sec
-			if math.IsNaN(speedup) || math.IsInf(speedup, 0) {
-				speedup = 0
-			}
-			probe := experiments.Run(o)
-			row := ShardBench{
-				Topo:             strings.TrimSpace(spec),
-				CPUs:             machine.NumCPUs(),
-				Shards:           s,
-				Seconds:          sec,
-				ShardPhases:      probe.ShardPhases,
-				EventsDispatched: probe.EventsDispatched,
-				LaneFires:        probe.LaneFires,
-				SpeedupVsSeq:     speedup,
-			}
-			if sec > 0 {
-				row.EventsPerSec = float64(probe.EventsDispatched+probe.LaneFires) * float64(reps) / sec
-			}
-			shardRep.Rows = append(shardRep.Rows, row)
-			fmt.Fprintf(os.Stderr, "shard topo=%-8s shards=%-2d %7.3fs  phases=%-6d speedup=%.2fx\n",
-				row.Topo, s, sec, row.ShardPhases, speedup)
-		}
-	}
-	// The batch-layer consumer: one node-model calibration (already
-	// fast-forwarded, the shards knob's natural production call site),
-	// sequential versus sharded at the chip count. The models are
-	// identical by construction; only the wall clock differs.
-	calibTopo := "2x24x2"
-	machine, err := topo.Parse(calibTopo)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	calibReps := 4
-	sw := walltime.Start()
-	if _, err := experiments.BatchCalibrate(prof, experiments.HPL, calibReps, 7, machine, 1, 1); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	seq := sw.Seconds()
-	sw = walltime.Start()
-	if _, err := experiments.BatchCalibrate(prof, experiments.HPL, calibReps, 7, machine, 1, machine.Chips); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	shd := sw.Seconds()
-	speedup := seq / shd
-	if math.IsNaN(speedup) || math.IsInf(speedup, 0) {
-		speedup = 0
-	}
-	shardRep.Calib = ShardCalibBench{
-		Topo: calibTopo, Reps: calibReps, Shards: machine.Chips,
-		SecondsSeq: seq, SecondsShard: shd, SpeedupVsSeq: speedup,
-	}
-	fmt.Fprintf(os.Stderr, "shard calib topo=%s shards=%d seq=%.3fs sharded=%.3fs speedup=%.2fx\n",
-		calibTopo, machine.Chips, seq, shd, speedup)
-	writeJSON(out, shardRep)
 }
 
 func runBatch(out string, jobs int) {

@@ -18,6 +18,7 @@ import (
 	"os"
 
 	"hplsim/internal/experiments"
+	"hplsim/internal/kernel"
 	"hplsim/internal/nas"
 	"hplsim/internal/sim"
 	"hplsim/internal/stats"
@@ -48,7 +49,6 @@ func main() {
 	spin := flag.Duration("spin", 0, "MPI spin window before blocking (0 = default 20ms)")
 	workers := flag.Int("workers", 0, "replication worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	ff := flag.Bool("ff", false, "fast-forward quiescent timer ticks (identical results, less host work)")
-	shards := flag.Int("shards", 1, "shard each run's CPUs over host workers (needs -ff; identical results)")
 	verbose := flag.Bool("v", false, "print every run")
 	flag.Parse()
 
@@ -91,6 +91,10 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	if err := (kernel.Config{HZ: *hz}).Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	opt := experiments.Options{
 		Profile:       prof,
@@ -103,7 +107,6 @@ func main() {
 		SpinThreshold: sim.DurationOf(*spin),
 		Workers:       *workers,
 		FastForward:   *ff,
-		Shards:        *shards,
 	}
 
 	sw := walltime.Start()

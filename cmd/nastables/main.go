@@ -35,7 +35,6 @@ func main() {
 	class := flag.String("class", "A", "NAS class for -table sched")
 	topoSpec := flag.String("topo", "", "machine topology as chips x cores x threads, e.g. 4x128x2 (default: the paper's 2x2x2)")
 	ff := flag.Bool("ff", false, "fast-forward quiescent timer ticks (identical tables, less host work)")
-	shards := flag.Int("shards", 1, "shard each run's CPUs over host workers (needs -ff; identical tables)")
 	flag.Parse()
 
 	var machine topo.Topology
@@ -48,7 +47,7 @@ func main() {
 		}
 	}
 
-	ex := experiments.Exec{Workers: *workers, FastForward: *ff, Shards: *shards}
+	ex := experiments.Exec{Workers: *workers, FastForward: *ff}
 	switch *table {
 	case "sched":
 		prof, err := nas.Get(*bench, (*class)[0])

@@ -48,7 +48,6 @@ func main() {
 		out       = flag.String("out", "", "write the shrunk repro of the first failure to this file")
 		budget    = flag.Int("shrink-budget", schedcheck.DefaultShrinkBudget, "max oracle checks spent shrinking a failure")
 		workers   = flag.Int("workers", 0, "parallel checkers (0 = GOMAXPROCS; results are worker-count independent)")
-		shards    = flag.Int("shards", 1, "also check sequential/sharded bitwise equivalence at this shard count (node layer; 1 disables)")
 		verbose   = flag.Bool("v", false, "log every scenario checked")
 	)
 	flag.Usage = func() {
@@ -58,7 +57,7 @@ func main() {
 	flag.Parse()
 
 	if *replay != "" {
-		if err := replayPath(*replay, *batchMode, *shards); err != nil {
+		if err := replayPath(*replay, *batchMode); err != nil {
 			fmt.Fprintln(os.Stderr, "schedcheck:", err)
 			os.Exit(1)
 		}
@@ -88,9 +87,6 @@ func main() {
 		sd := *seed + uint64(i)
 		s := schedcheck.Generate(sd)
 		f := schedcheck.Check(s)
-		if f == nil && *shards > 1 {
-			f, _ = schedcheck.CheckShards(s, *shards)
-		}
 		mu.Lock()
 		defer mu.Unlock()
 		if *verbose {
@@ -211,7 +207,7 @@ func batchCorpus(scenarios int, seed uint64, out string, budget, workers int, ve
 
 // replayPath replays a single repro file, or every repro in a directory,
 // against the selected harness.
-func replayPath(path string, batchMode bool, shards int) error {
+func replayPath(path string, batchMode bool) error {
 	info, err := os.Stat(path)
 	if err != nil {
 		return err
@@ -223,7 +219,7 @@ func replayPath(path string, batchMode bool, shards int) error {
 		return batchcheck.ReplayFile(path)
 	}
 	if info.IsDir() {
-		return schedcheck.ReplayDir(path, shards)
+		return schedcheck.ReplayDir(path)
 	}
-	return schedcheck.ReplayFile(path, shards)
+	return schedcheck.ReplayFile(path)
 }

@@ -24,7 +24,6 @@ var allocPatterns = []string{
 	"./internal/kernel",
 	"./internal/topo",
 	"./internal/schedstat",
-	"./internal/shard",
 	"./internal/batch",
 	"./internal/simq",
 }

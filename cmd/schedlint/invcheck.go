@@ -23,7 +23,6 @@ var invcheckPkgs = map[string]bool{
 	"internal/rbtree":    true,
 	"internal/sched/cfs": true,
 	"internal/kernel":    true,
-	"internal/shard":     true,
 	"internal/batch":     true,
 	"internal/simq":      true,
 }

@@ -139,7 +139,6 @@ var deterministicPkgs = []string{
 	"internal/experiments",
 	"internal/schedcheck",
 	"internal/schedstat",
-	"internal/shard",
 	"internal/batch",
 	"internal/simq",
 }

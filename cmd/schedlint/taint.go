@@ -38,7 +38,6 @@ var taintRootPkgs = []string{
 	"internal/rbtree",
 	"internal/schedcheck",
 	"internal/schedstat",
-	"internal/shard",
 	"internal/batch",
 	"internal/simq",
 }

@@ -21,3 +21,16 @@ func TickJustified() int64 {
 func Retry() int64 {
 	return util.Pong(3) // want `\[taint\] .*: sim\.Retry -> util\.Pong -> util\.Ping -> walltime\.Start -> time\.Now`
 }
+
+// Replay fans work out through a sanctioned edge: the directive
+// suppresses the crossing and stops the taint there.
+func Replay(fn func()) {
+	util.Fanout(fn) //schedlint:ignore taint — fixture: the justified crossing
+}
+
+// Phase sits upstream of the sanctioned edge: it must not be reported,
+// or the directive would have to be repeated at every caller instead of
+// living where the dependency is taken.
+func Phase(fn func()) {
+	Replay(fn)
+}

@@ -23,16 +23,16 @@ import (
 // batch.EmpiricalModel. The batch simulator then draws each job's runtime
 // as Work times the max-of-nodes order statistic over this distribution —
 // the hybrid construction of internal/cluster, reused one level up.
-// shards > 1 runs each calibration kernel under the parallel catch-up
-// phase; the samples — and so the model — are bitwise identical to the
-// sequential ones, only host time differs.
-func BatchCalibrate(prof nas.Profile, scheme Scheme, reps int, seed uint64, machine topo.Topology, workers, shards int) (*batch.EmpiricalModel, error) {
+// workers bounds the replication pool (0 = GOMAXPROCS).
+func BatchCalibrate(prof nas.Profile, scheme Scheme, reps int, seed uint64, machine topo.Topology, workers int,
+	shards int, // Deprecated: ignored; every calibration run is sequential.
+) (*batch.EmpiricalModel, error) {
 	if reps < 1 {
 		return nil, fmt.Errorf("experiments: batch calibration needs reps >= 1, got %d", reps)
 	}
 	rs := RunManyOpt(Options{
 		Profile: prof, Scheme: scheme, Seed: seed, Topo: machine,
-		FastForward: true, Shards: shards,
+		FastForward: true,
 	}, reps, workers)
 	samples := make([]float64, 0, len(rs))
 	for _, r := range rs {
@@ -72,9 +72,6 @@ type BatchStudyOptions struct {
 	Seed uint64
 	// Workers bounds calibration parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Shards shards each calibration kernel run over host workers
-	// (Options.Shards); the study's rows are independent of it.
-	Shards int
 }
 
 // BatchStudyRow is one (seed, policy, scheme) cell of the study.
@@ -131,7 +128,7 @@ func BatchStudy(opt BatchStudyOptions) ([]BatchStudyRow, error) {
 	models := make([]*batch.EmpiricalModel, len(opt.Schemes))
 	maxSlow := 1.0
 	for i, scheme := range opt.Schemes {
-		m, err := BatchCalibrate(opt.Profile, scheme, opt.CalibReps, opt.Seed, opt.Machine, opt.Workers, opt.Shards)
+		m, err := BatchCalibrate(opt.Profile, scheme, opt.CalibReps, opt.Seed, opt.Machine, opt.Workers, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 
+	"hplsim/internal/kernel"
 	"hplsim/internal/nas"
 	"hplsim/internal/schedstat"
 	"hplsim/internal/topo"
@@ -35,9 +36,6 @@ type Payload struct {
 	HZ int `json:"hz,omitempty"`
 	// FastForward enables virtual-time fast-forward (trace-equivalent).
 	FastForward bool `json:"fastforward,omitempty"`
-	// Shards fans a single run out over chip-aligned host shards
-	// (bitwise-identical results at any value).
-	Shards int `json:"shards,omitempty"`
 	// NoDaemons / NoStorms suppress the background load.
 	NoDaemons bool `json:"nodaemons,omitempty"`
 	NoStorms  bool `json:"nostorms,omitempty"`
@@ -46,6 +44,12 @@ type Payload struct {
 	// fingerprint, so equivalence checks stay byte-strength either way.
 	Trace bool `json:"trace,omitempty"`
 }
+
+// maxPayloadCPUs caps a payload's topology. A payload arrives from the
+// network and a worker allocates per-CPU state for it, so the cap bounds a
+// worker's memory. It is 4x the widest node the tests and benchmarks run
+// (4x128x2 = 1024 logical CPUs).
+const maxPayloadCPUs = 4096
 
 // ParseScheme resolves a scheme name.
 func ParseScheme(name string) (Scheme, bool) {
@@ -87,12 +91,18 @@ func (p Payload) Validate() error {
 			p.Scheme, strings.Join(names, ", "))
 	}
 	if p.Topo != "" {
-		if _, err := topo.Parse(p.Topo); err != nil {
+		machine, err := topo.Parse(p.Topo)
+		if err != nil {
 			return fmt.Errorf("experiments: payload topo: %w", err)
 		}
+		// Each dimension is checked first so the product cannot overflow.
+		if machine.Chips > maxPayloadCPUs || machine.CoresPerChip > maxPayloadCPUs ||
+			machine.ThreadsPerCore > maxPayloadCPUs || machine.NumCPUs() > maxPayloadCPUs {
+			return fmt.Errorf("experiments: payload topo %q exceeds %d logical CPUs", p.Topo, maxPayloadCPUs)
+		}
 	}
-	if p.Shards < 0 {
-		return fmt.Errorf("experiments: payload shards must be >= 0, got %d", p.Shards)
+	if err := (kernel.Config{HZ: p.HZ}).Validate(); err != nil {
+		return fmt.Errorf("experiments: payload hz: %w", err)
 	}
 	return nil
 }
@@ -181,7 +191,6 @@ func RunPayload(p Payload) ([]byte, error) {
 		Topo:        machine,
 		HZ:          p.HZ,
 		FastForward: p.FastForward,
-		Shards:      p.Shards,
 		NoDaemons:   p.NoDaemons,
 		NoStorms:    p.NoStorms,
 		Tracer:      w,

@@ -37,7 +37,11 @@ func TestParsePayloadRejectsBadSpecs(t *testing.T) {
 		{"bad class", `{"scheme":"std","bench":"ft","class":"AA"}`, "class"},
 		{"unknown profile", `{"scheme":"std","bench":"zz","class":"A"}`, "zz"},
 		{"bad topo", `{"scheme":"std","bench":"ft","class":"A","topo":"round"}`, "topo"},
-		{"negative shards", `{"scheme":"std","bench":"ft","class":"A","shards":-1}`, "shards"},
+		{"retired shards field", `{"scheme":"std","bench":"ft","class":"A","shards":2}`, "shards"},
+		{"oversized topo", `{"scheme":"std","bench":"ft","class":"A","topo":"100000x1000x2"}`, "4096"},
+		{"negative hz", `{"scheme":"std","bench":"ep","class":"A","topo":"2x2x2","hz":-1}`, "hz"},
+		{"hz period rounds to zero", `{"scheme":"std","bench":"ep","class":"A","topo":"2x2x2","hz":2000000000}`, "hz"},
+		{"hz period equals tick cost", `{"scheme":"std","bench":"ep","class":"A","topo":"2x2x2","hz":333333}`, "hz"},
 		{"invalid custom", `{"scheme":"std","custom":{"bench":"x","class":"A","ranks":0,"iterations":1,"target_seconds":1}}`, "ranks"},
 	}
 	for _, tc := range bad {
@@ -45,6 +49,15 @@ func TestParsePayloadRejectsBadSpecs(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		} else if !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.frag)
+		}
+	}
+	// The bounds reject only what they must.
+	for _, in := range []string{
+		`{"scheme":"std","bench":"ep","class":"A","topo":"2x2x2","hz":1000}`,
+		`{"scheme":"std","bench":"ep","class":"A","topo":"8x256x2"}`,
+	} {
+		if _, err := ParsePayload([]byte(in)); err != nil {
+			t.Errorf("%s: rejected: %v", in, err)
 		}
 	}
 }

@@ -117,18 +117,6 @@ type Options struct {
 	// changes. It exists so BENCH_scale.json can record the pre-optimization
 	// baseline alongside the optimized runs.
 	Naive bool
-	// Shards partitions one run's CPUs into chip-aligned shards replayed
-	// on parallel host workers during fast-forward catch-up (kernel
-	// Config.Shards). 0 or 1 = sequential; results are bitwise identical
-	// at any value. Unlike Workers, which parallelizes across
-	// replications, Shards parallelizes inside a single run.
-	Shards int
-	// ShardGrain overrides the minimum catch-up size that fans out over
-	// the shard gang (kernel Config.ShardGrain): 0 = the kernel default,
-	// 1 = every eligible catch-up. Bitwise-identical results at any
-	// grain; the equivalence harnesses use 1 to exercise the parallel
-	// path on workloads with naturally small catch-ups.
-	ShardGrain int
 	// NoDaemons suppresses the background daemon population.
 	NoDaemons bool
 	// NoStorms suppresses the heavy-storm process.
@@ -175,12 +163,6 @@ type Result struct {
 	// TicksCoalesced counts ticks settled by fast-forward replay instead
 	// of dispatch (0 in standard mode).
 	TicksCoalesced uint64
-	// ShardPhases counts catch-ups that fanned out over the shard gang
-	// (0 on sequential configurations). A host-side execution-strategy
-	// diagnostic, not a simulated observable: it is excluded from every
-	// equivalence comparison, and exists so tests and BENCH_shard.json
-	// can prove the parallel path ran.
-	ShardPhases uint64
 	// VirtualSec is the virtual time the run covered, in seconds.
 	VirtualSec float64
 }
@@ -231,8 +213,6 @@ func Run(opt Options) Result {
 		AdaptiveTick:      opt.AdaptiveTick,
 		FastForward:       opt.FastForward,
 		Naive:             opt.Naive,
-		Shards:            opt.Shards,
-		ShardGrain:        opt.ShardGrain,
 		Seed:              opt.Seed,
 		Tracer:            opt.Tracer,
 	})
@@ -342,7 +322,6 @@ func Run(opt Options) Result {
 	res.EventsDispatched = k.Eng.Dispatched
 	res.LaneFires = k.Eng.LaneFires
 	res.TicksCoalesced = k.Perf.TicksCoalesced
-	res.ShardPhases = k.ShardPhases()
 	res.VirtualSec = sim.Duration(k.Now()).Seconds()
 	return res
 }

@@ -43,7 +43,7 @@ func TableSchedstat(prof nas.Profile, schemes []Scheme, seed uint64, machine top
 	rows := make([]SchedstatRow, 0, len(schemes))
 	for _, sc := range schemes {
 		r, acct := RunStat(Options{Profile: prof, Scheme: sc, Seed: seed, Topo: machine,
-			FastForward: ex.FastForward, Shards: ex.Shards})
+			FastForward: ex.FastForward})
 		agg := acct.Aggregate("rank")
 		rows = append(rows, SchedstatRow{
 			Scheme:       sc,

@@ -10,18 +10,15 @@ import (
 )
 
 // Exec bundles the host-side execution knobs the table producers thread
-// into Options: the replication worker pool, the fast-forward tick mode,
-// and parallel sharding of each run. None of them change a single simulated
-// result — the worker-count, fast-forward, and sharding equivalences are
-// all pinned by regression tests — so every table is identical at any Exec.
+// into Options: the replication worker pool and the fast-forward tick mode.
+// Neither changes a single simulated result — the worker-count and
+// fast-forward equivalences are pinned by regression tests — so every
+// table is identical at any Exec.
 type Exec struct {
 	// Workers bounds the replication pool (0 = GOMAXPROCS).
 	Workers int
 	// FastForward elides quiescent timer ticks (Options.FastForward).
 	FastForward bool
-	// Shards shards each run's CPUs over host workers (Options.Shards;
-	// needs FastForward to have any effect).
-	Shards int
 }
 
 // TableIRow is one row of the paper's Table I: scheduler OS noise (CPU
@@ -40,7 +37,7 @@ func TableI(scheme Scheme, reps int, seed uint64, ex Exec, machine topo.Topology
 	var rows []TableIRow
 	for _, prof := range nas.All() {
 		rs := RunManyOpt(Options{Profile: prof, Scheme: scheme, Seed: seed, Topo: machine,
-			FastForward: ex.FastForward, Shards: ex.Shards}, reps, ex.Workers)
+			FastForward: ex.FastForward}, reps, ex.Workers)
 		mig := make([]float64, len(rs))
 		ctx := make([]float64, len(rs))
 		for i, r := range rs {
@@ -89,7 +86,7 @@ func TableII(reps int, seed uint64, ex Exec, machine topo.Topology) []TableIIRow
 		row := TableIIRow{Bench: prof.Name()}
 		for _, scheme := range []Scheme{Std, HPL} {
 			rs := RunManyOpt(Options{Profile: prof, Scheme: scheme, Seed: seed, Topo: machine,
-				FastForward: ex.FastForward, Shards: ex.Shards}, reps, ex.Workers)
+				FastForward: ex.FastForward}, reps, ex.Workers)
 			el := make([]float64, len(rs))
 			for i, r := range rs {
 				el[i] = r.ElapsedSec

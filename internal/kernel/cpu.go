@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"hplsim/internal/invariant"
-	"hplsim/internal/shard"
 	"hplsim/internal/sim"
 	"hplsim/internal/task"
 )
@@ -13,7 +12,7 @@ import (
 // resched requests a scheduling pass on cpu at the current instant. Multiple
 // requests within one instant coalesce into a single pass.
 func (k *Kernel) resched(cpu int) {
-	if k.replaying || k.parActive() {
+	if k.replaying {
 		// An elided tick asked to reschedule: its NextDecision bound was
 		// too late. Diverging silently would be far worse than crashing.
 		panic("kernel: reschedule during fast-forward tick replay (NextDecision bound too late)")
@@ -112,7 +111,7 @@ func (k *Kernel) armLane(c *cpuState) {
 // balancing gate flipped, or a scheduling pass completed. The tick grid
 // itself never moves — only which grid instant is dispatched live.
 func (k *Kernel) tickAdjust(cpu int) {
-	if !k.ff || k.replaying || k.parActive() {
+	if !k.ff || k.replaying {
 		return
 	}
 	c := k.cpus[cpu]
@@ -171,32 +170,17 @@ func (k *Kernel) tickFire(c *cpuState) {
 // bounds the lane arming). It returns the tick-cost theft; the caller
 // batches the seq-preserving completion Shift, which is associative in the
 // event's integer timestamp.
-//
-// scr selects the counter sink: nil is the sequential path, which also
-// models the replayed instant through k.replaying/k.vnow so any clock read
-// on the replay path (an RT throttle roll-over) sees the tick's own time.
-// A non-nil scr is a shard worker: the global perf counters become
-// per-shard scratch deltas (merged after the barrier) and the clock stays
-// untouched — workers replay only CPUs whose class tick path is clock-free
-// (see parSafe).
-func (k *Kernel) replayTick(c *cpuState, scr *shard.Scratch) sim.Duration {
+func (k *Kernel) replayTick(c *cpuState) sim.Duration {
 	at := c.tickNext
-	if scr == nil {
-		k.replaying, k.vnow = true, at
-		k.Perf.Ticks++
-		k.Perf.TicksCoalesced++
-	} else {
-		scr.Ticks++
-		scr.TicksCoalesced++
-	}
+	k.replaying, k.vnow = true, at
 	c.ticks++
-	k.syncProgressAt(c, at)
+	k.Perf.Ticks++
+	k.Perf.TicksCoalesced++
+	k.syncProgress(c)
 	c.spanStart = c.spanStart.Add(k.Cfg.TickCost)
 	k.Sched.Tick(c.id, c.curr)
 	c.tickNext = at.Add(k.tickPeriodFor(c))
-	if scr == nil {
-		k.replaying = false
-	}
+	k.replaying = false
 	return k.Cfg.TickCost
 }
 
@@ -211,7 +195,7 @@ func (k *Kernel) replayTick(c *cpuState, scr *shard.Scratch) sim.Duration {
 // depends only on dt, so each elided tick costs a handful of float ops and
 // none of the per-tick call machinery. The loop bodies mirror the exact
 // expression shapes of cache.Progress and syncProgress.
-func (k *Kernel) replayBatch(c *cpuState, m int64, scr *shard.Scratch) bool {
+func (k *Kernel) replayBatch(c *cpuState, m int64) bool {
 	t := c.curr
 	p := k.tickPeriodFor(c)
 	dt := p - k.Cfg.TickCost
@@ -222,13 +206,8 @@ func (k *Kernel) replayBatch(c *cpuState, m int64, scr *shard.Scratch) bool {
 		return false
 	}
 	c.ticks += uint64(m)
-	if scr == nil {
-		k.Perf.Ticks += uint64(m)
-		k.Perf.TicksCoalesced += uint64(m)
-	} else {
-		scr.Ticks += uint64(m)
-		scr.TicksCoalesced += uint64(m)
-	}
+	k.Perf.Ticks += uint64(m)
+	k.Perf.TicksCoalesced += uint64(m)
 	span := sim.Duration(m) * dt
 	t.SumExec += span
 	k.cores[k.Topo.CoreOf(c.id)].busy += span
@@ -267,9 +246,6 @@ func (k *Kernel) replayBatch(c *cpuState, m int64, scr *shard.Scratch) bool {
 // and falls back to tick-by-tick replay otherwise (typically just the
 // first tick after an event, which realigns the span to the grid).
 func (k *Kernel) catchUp(at sim.Time, tieID int) {
-	if k.par != nil && k.catchUpSharded(at, tieID) {
-		return
-	}
 	if k.Cfg.Naive {
 		for _, c := range k.cpus {
 			if c.tickNext == 0 {
@@ -301,11 +277,11 @@ func (k *Kernel) catchUpCPU(c *cpuState, at sim.Time, tieID int) {
 			bound-- // ticks strictly before the event instant
 		}
 		m := int64(bound.Sub(c.tickNext))/int64(k.tickPeriodFor(c)) + 1
-		if k.replayBatch(c, m, nil) {
+		if k.replayBatch(c, m) {
 			theft += sim.Duration(m) * k.Cfg.TickCost
 			continue
 		}
-		theft += k.replayTick(c, nil)
+		theft += k.replayTick(c)
 	}
 	if theft > 0 && c.completion.Pending() {
 		k.Eng.Shift(c.completion, c.completion.When().Add(theft))
@@ -344,19 +320,11 @@ func (k *Kernel) smtFactor(cpu int) float64 {
 // syncProgress settles the running span of c.curr up to now: work done,
 // cache warmth, CPU-time accounting, and the class exec charge.
 func (k *Kernel) syncProgress(c *cpuState) {
-	// k.now() is the replayed tick instant during elided-tick replay.
-	k.syncProgressAt(c, k.now())
-}
-
-// syncProgressAt is syncProgress with the settlement instant made
-// explicit: shard workers replay elided ticks off the coordinator
-// goroutine, where the kernel clock cannot carry the replayed instant, so
-// they pass it directly. Sequential callers go through syncProgress.
-func (k *Kernel) syncProgressAt(c *cpuState, now sim.Time) {
 	t := c.curr
 	if t == c.idle {
 		return
 	}
+	now := k.now() // the replayed tick instant during elided-tick replay
 	if now <= c.spanStart {
 		return // span has not started yet (switch/tick cost dead time)
 	}

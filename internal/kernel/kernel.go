@@ -143,25 +143,6 @@ type Config struct {
 	// The scale benchmark uses it to record the naive wide-mask baseline
 	// that BENCH_scale.json speedups are measured against.
 	Naive bool
-	// Shards partitions the node's CPUs into chip-aligned shards whose
-	// fast-forward tick catch-up replays on parallel host workers (see
-	// DESIGN.md, "Parallel sharding"). 0 or 1 means sequential — the
-	// default and the oracle; values above the chip count clamp to it.
-	// Results are bitwise identical at any shard count: the parallel
-	// phase replays exactly the per-CPU work the sequential loop would,
-	// under a conservatively derived synchronization horizon, and merges
-	// the cross-shard sums in canonical shard order. Sharding only
-	// applies with FastForward set and Naive clear (without elided ticks
-	// there is no replay to parallelize); otherwise it is an inert knob.
-	Shards int
-	// ShardGrain is the minimum number of pending elided-tick instants a
-	// catch-up must hold before it fans out over the shard gang; smaller
-	// catch-ups run the sequential loop (identical result, no barrier
-	// cost). 0 selects the default grain; 1 fans out every eligible
-	// catch-up, which the equivalence harnesses use to exercise the
-	// parallel machinery on workloads whose catch-ups are naturally
-	// small. Results are bitwise identical at any grain.
-	ShardGrain int
 }
 
 func (c Config) withDefaults() Config {
@@ -194,6 +175,24 @@ func (c Config) withDefaults() Config {
 		c.Power = DefaultPowerModel()
 	}
 	return c
+}
+
+// Validate reports the first reason New would refuse the configuration,
+// after defaults are applied: a malformed topology, a negative HZ, or a
+// tick period no longer than TickCost. An interrupt that costs its whole
+// period leaves no time for work, so such a run would never progress.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	if err := c.Topo.Validate(); err != nil {
+		return err
+	}
+	if c.HZ < 0 {
+		return fmt.Errorf("kernel: HZ must not be negative, got %d", c.HZ)
+	}
+	if period := sim.Duration(int64(sim.Second) / int64(c.HZ)); period <= c.TickCost {
+		return fmt.Errorf("kernel: tick period %v at HZ %d must exceed the tick cost %v", period, c.HZ, c.TickCost)
+	}
+	return nil
 }
 
 // cpuState is the kernel's per-CPU structure.
@@ -266,10 +265,6 @@ type Kernel struct {
 	replaying bool
 	vnow      sim.Time
 
-	// par is the parallel shard catch-up state, nil unless Cfg.Shards
-	// partitions this node (see shardrun.go).
-	par *parCatch
-
 	rng *sim.RNG
 }
 
@@ -278,7 +273,7 @@ type Kernel struct {
 // CFS > Idle is constructed.
 func New(cfg Config) *Kernel {
 	cfg = cfg.withDefaults()
-	if err := cfg.Topo.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	n := cfg.Topo.NumCPUs()
@@ -312,7 +307,7 @@ func New(cfg Config) *Kernel {
 		RNG:       k.rng.Split(0xba1a), // load-balancer tie-break stream
 		Now:       k.now,
 		Timer: func(d sim.Duration, fn func()) {
-			if k.replaying || k.parActive() {
+			if k.replaying {
 				// A class arming a timer at an elided tick means the
 				// tick made a decision after all: the NextDecision
 				// bound was wrong. Fail loudly instead of diverging.
@@ -341,7 +336,6 @@ func New(cfg Config) *Kernel {
 	if k.ff {
 		k.Eng.BeforeEvent = k.beforeEvent
 	}
-	k.initShards()
 	return k
 }
 
@@ -438,11 +432,6 @@ func (k *Kernel) IdleOn(cpu int) bool {
 // counters and per-task accounting match what a step-every-tick run shows
 // at the same instant.
 func (k *Kernel) Run(until sim.Time) {
-	if k.par != nil {
-		// The shard gang exists only while the simulation is advancing;
-		// releasing it here keeps kernels goroutine-free between runs.
-		defer k.par.closeGang()
-	}
 	k.Eng.Run(until)
 	if !k.ff {
 		k.checkInvariants()

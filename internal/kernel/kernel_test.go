@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"hplsim/internal/cache"
@@ -642,4 +643,34 @@ func TestHPCForkPlacementTopologyAware(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNewRejectsUnusableTick: a negative HZ, or a tick period no longer
+// than the tick cost, would arm lanes in the past, divide by a zero
+// period, or spend every period in the interrupt. New refuses them up
+// front with a message naming the problem.
+func TestNewRejectsUnusableTick(t *testing.T) {
+	for _, tc := range []struct {
+		hz   int
+		frag string
+	}{
+		{-1, "negative"},
+		{2000000000, "tick cost"}, // period rounds to 0
+		{333333, "tick cost"},     // period 3us == default TickCost
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				err, ok := r.(error)
+				if !ok || !strings.Contains(err.Error(), tc.frag) {
+					t.Errorf("HZ %d: New panicked with %v, want an error mentioning %q", tc.hz, r, tc.frag)
+				}
+			}()
+			New(Config{Topo: dual(), HZ: tc.hz})
+		}()
+	}
+	// Zero overheads leave every positive period usable; a 10us period
+	// clears the default 3us cost.
+	New(Config{Topo: dual(), HZ: 1000000000, NoOverheads: true})
+	New(Config{Topo: dual(), HZ: 100000})
 }

@@ -157,14 +157,6 @@ type Chaos struct {
 	// blocks or exits. It breaks the round-robin wait bound the schedstat
 	// latency oracle checks.
 	HPCNoRotate bool
-	// ShardSkew makes the parallel shard catch-up hand its workers a
-	// replay bound one tick period past the true synchronization horizon,
-	// so a worker plans ticks inside a window the coordinator already
-	// committed — the exact failure a wrong conservative lookahead would
-	// produce. The -tags invariants shard window audit must catch it
-	// before any state is touched. Only meaningful with kernel
-	// Config.Shards > 1.
-	ShardSkew bool
 }
 
 func (p BalancePolicy) String() string {
@@ -313,10 +305,6 @@ func (s *Scheduler) ChaosHPCMigration() bool { return s.chaos.HPCMigration }
 // ChaosHPCNoRotate reports whether the rotation-suppression fault injection
 // is armed (see Chaos).
 func (s *Scheduler) ChaosHPCNoRotate() bool { return s.chaos.HPCNoRotate }
-
-// ChaosShardSkew reports whether the shard-horizon fault injection is
-// armed (see Chaos).
-func (s *Scheduler) ChaosShardSkew() bool { return s.chaos.ShardSkew }
 
 // Curr reports the task running on cpu (possibly the idle task).
 func (s *Scheduler) Curr(cpu int) *task.Task { return s.curr[cpu] }

@@ -73,7 +73,7 @@ func TestChaosCaughtAndShrunk(t *testing.T) {
 	if err := WriteRepro(path, repro); err != nil {
 		t.Fatalf("WriteRepro: %v", err)
 	}
-	if err := ReplayFile(path, 1); err != nil {
+	if err := ReplayFile(path); err != nil {
 		t.Fatalf("ReplayFile: %v", err)
 	}
 }
@@ -103,18 +103,18 @@ func TestShrinkPassingScenario(t *testing.T) {
 // TestReplayExpectations covers the replay verdict matrix.
 func TestReplayExpectations(t *testing.T) {
 	green := Generate(1)
-	if err := Replay(Repro{Version: ReproVersion, Expect: "pass", Scenario: green}, 1); err != nil {
+	if err := Replay(Repro{Version: ReproVersion, Expect: "pass", Scenario: green}); err != nil {
 		t.Fatalf("pass-expectation on a green scenario: %v", err)
 	}
-	err := Replay(Repro{Version: ReproVersion, Expect: "fail", Oracle: OracleMigration, Scenario: green}, 1)
+	err := Replay(Repro{Version: ReproVersion, Expect: "fail", Oracle: OracleMigration, Scenario: green})
 	if err == nil || !strings.Contains(err.Error(), "all oracles passed") {
 		t.Fatalf("fail-expectation on a green scenario: %v", err)
 	}
 	chaos := chaosScenario()
-	if err := Replay(Repro{Version: ReproVersion, Expect: "fail", Scenario: chaos}, 1); err != nil {
+	if err := Replay(Repro{Version: ReproVersion, Expect: "fail", Scenario: chaos}); err != nil {
 		t.Fatalf("fail-expectation without a pinned oracle: %v", err)
 	}
-	if err := Replay(Repro{Version: ReproVersion, Expect: "pass", Scenario: chaos}, 1); err == nil {
+	if err := Replay(Repro{Version: ReproVersion, Expect: "pass", Scenario: chaos}); err == nil {
 		t.Fatal("pass-expectation on a failing scenario did not error")
 	}
 }
@@ -141,20 +141,18 @@ func TestReadReproRejects(t *testing.T) {
 	if _, err := ReadRepro(write("expect.json", `{"Version": 1, "Expect": "maybe"}`)); err == nil {
 		t.Error("bad expectation accepted")
 	}
-	if err := ReplayDir(dir, 1); err == nil {
+	if err := ReplayDir(dir); err == nil {
 		t.Error("ReplayDir over broken files did not error")
 	}
-	if err := ReplayDir(filepath.Join(dir, "empty"), 1); err == nil {
+	if err := ReplayDir(filepath.Join(dir, "empty")); err == nil {
 		t.Error("ReplayDir over a missing dir did not error")
 	}
 }
 
 // TestCommittedRepros replays every repro checked in under testdata/repros,
-// exactly as the CI job and cmd/schedcheck -replay do — sequential and
-// sharded four ways, so each repro also pins sequential/sharded bitwise
-// equivalence.
+// exactly as the CI job and cmd/schedcheck -replay do.
 func TestCommittedRepros(t *testing.T) {
-	if err := ReplayDir(filepath.Join("testdata", "repros"), 4); err != nil {
+	if err := ReplayDir(filepath.Join("testdata", "repros")); err != nil {
 		t.Fatal(err)
 	}
 }

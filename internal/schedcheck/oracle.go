@@ -18,7 +18,6 @@ const (
 	OracleNoise       = "noise-insulation"
 	OraclePermutation = "permutation"
 	OracleRescale     = "rescale"
-	OracleShard       = "shard"
 )
 
 // Failure describes one oracle violation on a scenario.

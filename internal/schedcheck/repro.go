@@ -56,11 +56,7 @@ func ReadRepro(path string) (Repro, error) {
 
 // Replay checks the repro's scenario twice and verifies both that the
 // verdict is deterministic and that it matches the recorded expectation.
-// With shards > 1 it additionally runs the sharding equivalence oracle, so
-// every committed repro — pass and fail alike — doubles as a bitwise
-// sequential-vs-sharded comparison (ShardSkew repros are exempt: that fault
-// exists to break the sharded run).
-func Replay(r Repro, shards int) error {
+func Replay(r Repro) error {
 	first := Check(r.Scenario)
 	second := Check(r.Scenario)
 	if (first == nil) != (second == nil) ||
@@ -80,21 +76,16 @@ func Replay(r Repro, shards int) error {
 			return fmt.Errorf("expected all oracles to pass, got %v", first)
 		}
 	}
-	if shards > 1 && !r.Scenario.Chaos.ShardSkew {
-		if f, _ := CheckShards(r.Scenario, shards); f != nil {
-			return fmt.Errorf("sharded replay (shards=%d): %v", shards, f)
-		}
-	}
 	return nil
 }
 
 // ReplayFile replays one repro file.
-func ReplayFile(path string, shards int) error {
+func ReplayFile(path string) error {
 	r, err := ReadRepro(path)
 	if err != nil {
 		return err
 	}
-	if err := Replay(r, shards); err != nil {
+	if err := Replay(r); err != nil {
 		return fmt.Errorf("%s: %v", path, err)
 	}
 	return nil
@@ -102,7 +93,7 @@ func ReplayFile(path string, shards int) error {
 
 // ReplayDir replays every *.json repro under dir, in name order, and
 // returns the first error.
-func ReplayDir(dir string, shards int) error {
+func ReplayDir(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
@@ -118,7 +109,7 @@ func ReplayDir(dir string, shards int) error {
 		return fmt.Errorf("%s: no repro files", dir)
 	}
 	for _, name := range names {
-		if err := ReplayFile(filepath.Join(dir, name), shards); err != nil {
+		if err := ReplayFile(filepath.Join(dir, name)); err != nil {
 			return err
 		}
 	}

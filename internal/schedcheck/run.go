@@ -33,10 +33,6 @@ type report struct {
 	migViol   []string  // fork-time-only migration violations
 	latViol   []string  // runnable-wait latency-bound violations
 	perf      perf.Counters
-	// shardPhases counts parallel catch-up fan-outs — a host-side execution
-	// diagnostic the shard oracle uses to prove the parallel path ran, never
-	// part of any equivalence comparison.
-	shardPhases uint64
 }
 
 // recorder implements kernel.Tracer, kernel.KindTracer, and
@@ -47,10 +43,6 @@ type report struct {
 type recorder struct {
 	k      *kernel.Kernel
 	scheme string
-	// trace, when set, receives every tracer callback verbatim: the shard
-	// oracle captures the full schedstat ledger of a run this way and
-	// compares it byte for byte between sequential and sharded executions.
-	trace *schedstat.Writer
 
 	hash      uint64
 	domViol   []string
@@ -144,9 +136,6 @@ func (r *recorder) observe(at sim.Time, seq uint64) {
 // CPU, so observing a Normal task switched in with a non-empty HPC queue is
 // a scheduler bug, whatever the configuration.
 func (r *recorder) Switch(now sim.Time, cpu int, prev, next *task.Task) {
-	if r.trace != nil {
-		r.trace.Switch(now, cpu, prev, next)
-	}
 	r.acct.Switch(now, cpu, prev, next)
 	if r.latOn && prev.Policy == task.HPC && prev.State == task.Runnable {
 		// prev was preempted and requeued: it is already counted in
@@ -172,9 +161,6 @@ func (r *recorder) Switch(now sim.Time, cpu int, prev, next *task.Task) {
 // MigrateK implements kernel.KindTracer: the fork-time-only probe. Under
 // the HPL scheme an HPC task may migrate exactly once, at fork placement.
 func (r *recorder) MigrateK(now sim.Time, t *task.Task, from, to int, kind kernel.MigrateKind) {
-	if r.trace != nil {
-		r.trace.MigrateK(now, t, from, to, kind)
-	}
 	r.acct.MigrateK(now, t, from, to, kind)
 	r.disarmBound(t.ID)
 	if t.Policy != task.HPC || r.scheme != SchemeHPL {
@@ -201,9 +187,6 @@ func (r *recorder) Migrate(now sim.Time, t *task.Task, from, to int) {}
 // Wake implements kernel.Tracer. The wake hook fires before the enqueue,
 // so the queue census counts exactly the tasks ahead of t.
 func (r *recorder) Wake(now sim.Time, t *task.Task, cpu int) {
-	if r.trace != nil {
-		r.trace.Wake(now, t, cpu)
-	}
 	r.acct.Wake(now, t, cpu)
 	if r.latOn && t.Policy == task.HPC {
 		r.armBound(t, r.hpcAhead(cpu))
@@ -212,17 +195,11 @@ func (r *recorder) Wake(now sim.Time, t *task.Task, cpu int) {
 
 // Mark implements kernel.Tracer.
 func (r *recorder) Mark(now sim.Time, t *task.Task, label string) {
-	if r.trace != nil {
-		r.trace.Mark(now, t, label)
-	}
 	r.acct.Mark(now, t, label)
 }
 
 // Fork implements kernel.TaskTracer; like Wake it fires pre-enqueue.
 func (r *recorder) Fork(now sim.Time, t *task.Task, cpu int) {
-	if r.trace != nil {
-		r.trace.Fork(now, t, cpu)
-	}
 	r.acct.Fork(now, t, cpu)
 	if r.latOn && t.Policy == task.HPC {
 		r.armBound(t, r.hpcAhead(cpu))
@@ -231,9 +208,6 @@ func (r *recorder) Fork(now sim.Time, t *task.Task, cpu int) {
 
 // Exit implements kernel.TaskTracer.
 func (r *recorder) Exit(now sim.Time, t *task.Task) {
-	if r.trace != nil {
-		r.trace.Exit(now, t)
-	}
 	r.acct.Exit(now, t)
 }
 
@@ -249,7 +223,6 @@ func kernelConfig(s Scenario, rec *recorder) kernel.Config {
 		Chaos: sched.Chaos{
 			HPCMigration: s.Chaos.HPCMigration,
 			HPCNoRotate:  s.Chaos.HPCNoRotate,
-			ShardSkew:    s.Chaos.ShardSkew,
 		},
 	}
 	if s.Scheme == SchemeStandard {
@@ -264,33 +237,14 @@ func kernelConfig(s Scenario, rec *recorder) kernel.Config {
 	return cfg
 }
 
-// runCfg selects the execution strategy of one simulation — never the
-// simulated behaviour, which must be identical across all of them.
-type runCfg struct {
-	assign      []int
-	fastForward bool
-	// shards > 1 runs the parallel catch-up phase at grain 1 (every
-	// eligible catch-up fans out), the configuration the shard oracle
-	// compares against sequential.
-	shards int
-	// trace, when set, captures the full schedstat ledger of the run.
-	trace *schedstat.Writer
-}
-
 // runOnce simulates the scenario with workload assign[slot] running in fork
 // slot `slot` (nil means identity) and reports observables and violations.
-func runOnce(s Scenario, assign []int) report { return run(s, runCfg{assign: assign}) }
+func runOnce(s Scenario, assign []int) report { return runMode(s, assign, false) }
 
 // runMode is runOnce with an explicit tick mode: fastForward selects the
 // kernel's virtual-time fast-forward, which the equivalence oracle compares
 // against the step-every-tick baseline.
 func runMode(s Scenario, assign []int, fastForward bool) report {
-	return run(s, runCfg{assign: assign, fastForward: fastForward})
-}
-
-// run simulates the scenario under one execution strategy.
-func run(s Scenario, rc runCfg) report {
-	assign := rc.assign
 	if assign == nil {
 		assign = make([]int, len(s.Ranks))
 		for i := range assign {
@@ -298,13 +252,8 @@ func run(s Scenario, rc runCfg) report {
 		}
 	}
 	rec := newRecorder(s)
-	rec.trace = rc.trace
 	cfg := kernelConfig(s, rec)
-	cfg.FastForward = rc.fastForward
-	if rc.shards > 1 {
-		cfg.Shards = rc.shards
-		cfg.ShardGrain = 1
-	}
+	cfg.FastForward = fastForward
 	k := kernel.New(cfg)
 	rec.k = k
 	k.Eng.Observer = rec.observe
@@ -366,13 +315,12 @@ func run(s Scenario, rc runCfg) report {
 		}
 	}
 	rep := report{
-		eventHash:   rec.hash,
-		obs:         make([]rankObs, len(s.Ranks)),
-		domViol:     rec.domViol,
-		migViol:     rec.migViol,
-		latViol:     rec.latViol,
-		perf:        k.Perf,
-		shardPhases: k.ShardPhases(),
+		eventHash: rec.hash,
+		obs:       make([]rankObs, len(s.Ranks)),
+		domViol:   rec.domViol,
+		migViol:   rec.migViol,
+		latViol:   rec.latViol,
+		perf:      k.Perf,
 	}
 	for wl, t := range tasks {
 		if t == nil {

@@ -124,10 +124,6 @@ type RTSpec struct {
 type ChaosSpec struct {
 	HPCMigration bool `json:",omitempty"`
 	HPCNoRotate  bool `json:",omitempty"`
-	// ShardSkew mis-sets the parallel catch-up horizon. It only bites in
-	// sharded runs: normal builds diverge from sequential (the shard oracle
-	// catches it), -tags invariants builds panic in the window audit.
-	ShardSkew bool `json:",omitempty"`
 }
 
 // Scenario is one self-contained, seeded simulation setup. It serializes to

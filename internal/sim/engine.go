@@ -65,20 +65,12 @@ type Engine struct {
 	queue []*Event
 	free  []*Event
 	lanes []timerLane
-	// laneHeaps index the armed lanes ordered by (when, id), one heap per
-	// lane shard, so finding the next lane firing is O(#shards) regardless
-	// of how many lanes (CPUs) exist — the linear scan this replaces
-	// dominated wide-node runs. There is a single heap until SetShards
-	// partitions the lanes; with shards, each heap is owned by one shard
-	// of the parallel catch-up phase and the merge frontier (nextLane)
-	// takes the minimum over the shard roots, which is exactly the global
-	// (when, id) minimum because the global minimum is the minimum of its
-	// own shard.
-	laneHeaps [][]int
-	// laneShard maps lane id to its heap; nil means everything in heap 0.
-	laneShard []int
-	seq       uint64
-	stopped   bool
+	// laneHeap indexes the armed lanes ordered by (when, id), so finding
+	// the next lane firing is O(1) regardless of how many lanes (CPUs)
+	// exist — the linear scan it replaces dominated wide-node runs.
+	laneHeap []int
+	seq      uint64
+	stopped  bool
 	// NaiveLanes restores the O(#lanes) linear scan for the next armed
 	// lane (benchmark baseline only). It must be set before any lane is
 	// armed and never changed afterwards.
@@ -108,42 +100,7 @@ type Engine struct {
 
 // NewEngine returns an Engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{laneHeaps: make([][]int, 1)}
-}
-
-// SetShards partitions the timer lanes into independently-heaped shards:
-// lane id i joins heap shardOf[i]. The parallel catch-up phase gives each
-// shard ownership of its CPUs' lanes; keeping per-shard heaps makes that
-// ownership structural while nextLane's min-over-roots merge frontier
-// preserves the exact global (when, id) firing order, so sequential and
-// sharded runs dispatch identically. SetShards must be called after every
-// NewLane and before any lane is armed, and is incompatible with
-// NaiveLanes (which bypasses the heaps).
-func (e *Engine) SetShards(shards int, shardOf []int) {
-	if shards < 1 {
-		panic("sim: SetShards needs at least one shard")
-	}
-	if len(shardOf) != len(e.lanes) {
-		panic(fmt.Sprintf("sim: SetShards got %d shard assignments for %d lanes", len(shardOf), len(e.lanes)))
-	}
-	for i := range e.lanes {
-		if e.lanes[i].pos >= 0 || e.lanes[i].when != Infinity {
-			panic("sim: SetShards after a lane was armed")
-		}
-		if shardOf[i] < 0 || shardOf[i] >= shards {
-			panic(fmt.Sprintf("sim: lane %d assigned to shard %d of %d", i, shardOf[i], shards))
-		}
-	}
-	e.laneHeaps = make([][]int, shards)
-	e.laneShard = append([]int(nil), shardOf...)
-}
-
-// laneShardOf reports the heap owning lane id.
-func (e *Engine) laneShardOf(id int) int {
-	if e.laneShard == nil {
-		return 0
-	}
-	return e.laneShard[id]
+	return &Engine{}
 }
 
 // Now reports the current virtual time.
@@ -259,17 +216,15 @@ func (e *Engine) ArmLane(id int, t Time) {
 	if e.NaiveLanes {
 		return
 	}
-	sh := e.laneShardOf(id)
-	h := e.laneHeaps[sh]
 	if l.pos >= 0 {
-		if !e.laneDown(h, l.pos) {
-			e.laneUp(h, l.pos)
+		if !e.laneDown(l.pos) {
+			e.laneUp(l.pos)
 		}
 		return
 	}
-	l.pos = len(h)
-	e.laneHeaps[sh] = append(h, id)
-	e.laneUp(e.laneHeaps[sh], l.pos)
+	l.pos = len(e.laneHeap)
+	e.laneHeap = append(e.laneHeap, id)
+	e.laneUp(l.pos)
 }
 
 // DisarmLane stops the lane from firing until re-armed.
@@ -279,17 +234,16 @@ func (e *Engine) DisarmLane(id int) {
 	if e.NaiveLanes || l.pos < 0 {
 		return
 	}
-	e.laneRemove(e.laneShardOf(id), l.pos)
+	e.laneRemove(l.pos)
 }
 
 // LaneWhen reports the lane's next firing time, Infinity if disarmed.
 func (e *Engine) LaneWhen(id int) Time { return e.lanes[id].when }
 
 // nextLane returns the earliest armed lane and its time. Ties between lanes
-// break to the lowest id (part of the determinism contract); each heap's
-// comparator orders by (when, id), so taking the best of the shard roots is
-// exactly what the linear scan would have found — the global minimum is the
-// minimum of whichever shard holds it.
+// break to the lowest id (part of the determinism contract); the heap
+// comparator orders by (when, id), so its root is exactly what the linear
+// scan would have found.
 func (e *Engine) nextLane() (id int, when Time) {
 	if e.NaiveLanes {
 		id, when = -1, Infinity
@@ -300,69 +254,62 @@ func (e *Engine) nextLane() (id int, when Time) {
 		}
 		return id, when
 	}
-	id, when = -1, Infinity
-	for _, h := range e.laneHeaps {
-		if len(h) == 0 {
-			continue
-		}
-		c := h[0]
-		if w := e.lanes[c].when; w < when || (w == when && (id < 0 || c < id)) {
-			id, when = c, w
-		}
+	if len(e.laneHeap) == 0 {
+		return -1, Infinity
 	}
-	return id, when
+	id = e.laneHeap[0]
+	return id, e.lanes[id].when
 }
 
-// laneLess orders armed lanes of one heap by (when, id).
-func (e *Engine) laneLess(h []int, i, j int) bool {
-	a, b := h[i], h[j]
+// laneLess orders armed lanes by (when, id).
+func (e *Engine) laneLess(i, j int) bool {
+	a, b := e.laneHeap[i], e.laneHeap[j]
 	if e.lanes[a].when != e.lanes[b].when {
 		return e.lanes[a].when < e.lanes[b].when
 	}
 	return a < b
 }
 
-func (e *Engine) laneSwap(h []int, i, j int) {
+func (e *Engine) laneSwap(i, j int) {
+	h := e.laneHeap
 	h[i], h[j] = h[j], h[i]
 	e.lanes[h[i]].pos = i
 	e.lanes[h[j]].pos = j
 }
 
-// laneRemove deletes the lane at index i of shard sh's heap and marks it
-// disarmed.
-func (e *Engine) laneRemove(sh, i int) {
-	h := e.laneHeaps[sh]
+// laneRemove deletes the lane at heap index i and marks it disarmed.
+func (e *Engine) laneRemove(i int) {
+	h := e.laneHeap
 	n := len(h) - 1
 	id := h[i]
 	if i != n {
-		e.laneSwap(h, i, n)
+		e.laneSwap(i, n)
 	}
-	h = h[:n]
-	e.laneHeaps[sh] = h
+	e.laneHeap = h[:n]
 	if i != n {
-		if !e.laneDown(h, i) {
-			e.laneUp(h, i)
+		if !e.laneDown(i) {
+			e.laneUp(i)
 		}
 	}
 	e.lanes[id].pos = -1
 }
 
 // laneUp sifts the heap entry at index i toward the root.
-func (e *Engine) laneUp(h []int, i int) {
+func (e *Engine) laneUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.laneLess(h, i, parent) {
+		if !e.laneLess(i, parent) {
 			break
 		}
-		e.laneSwap(h, i, parent)
+		e.laneSwap(i, parent)
 		i = parent
 	}
 }
 
 // laneDown sifts the heap entry at index i toward the leaves; it reports
 // whether the entry moved.
-func (e *Engine) laneDown(h []int, i int) bool {
-	n := len(h)
+func (e *Engine) laneDown(i int) bool {
+	n := len(e.laneHeap)
 	start := i
 	for {
 		left := 2*i + 1
@@ -370,13 +317,13 @@ func (e *Engine) laneDown(h []int, i int) bool {
 			break
 		}
 		least := left
-		if right := left + 1; right < n && e.laneLess(h, right, left) {
+		if right := left + 1; right < n && e.laneLess(right, left) {
 			least = right
 		}
-		if !e.laneLess(h, least, i) {
+		if !e.laneLess(least, i) {
 			break
 		}
-		e.laneSwap(h, i, least)
+		e.laneSwap(i, least)
 		i = least
 	}
 	return i != start
