@@ -12,7 +12,7 @@ import (
 	"hplsim/internal/nas"
 )
 
-var updateBatch = flag.Bool("update", false, "rewrite the golden batch-study table")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 func batchStudyOptions(t *testing.T) experiments.BatchStudyOptions {
 	t.Helper()
@@ -46,7 +46,7 @@ func TestBatchStudyGolden(t *testing.T) {
 	got := []byte(experiments.FormatBatchStudy(rows))
 
 	path := filepath.Join("testdata", "batch_study.golden")
-	if *updateBatch {
+	if *update {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}

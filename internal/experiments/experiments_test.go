@@ -141,17 +141,6 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-func TestFigure1Renders(t *testing.T) {
-	out := Figure1(5)
-	if !strings.Contains(out, "Figure 1") || !strings.Contains(out, "cpu0") {
-		t.Fatalf("Figure 1 output malformed:\n%s", out)
-	}
-	// The daemon must appear in the timeline.
-	if !strings.Contains(out, "d") {
-		t.Fatal("daemon not visible in Figure 1 timeline")
-	}
-}
-
 func TestFigure3Correlation(t *testing.T) {
 	// Figures 3a/3b: execution time correlates positively with both CPU
 	// migrations and context switches under the standard scheduler.
