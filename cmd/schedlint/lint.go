@@ -122,7 +122,7 @@ func (e *exportImporter) Import(path string) (*types.Package, error) {
 // deterministicPkgs are the module-relative package prefixes that form the
 // deterministic simulation core: everything inside them must produce
 // bitwise-identical results from (config, seed) alone. Packages outside the
-// set (stats, trace, topo, cache, perf) either sort before iterating or are
+// set (stats, topo, cache, perf) either sort before iterating or are
 // pure functions of their inputs, and the host-facing cmds may format and
 // time freely — but the wall-clock and concurrency rules still apply to
 // them.

@@ -33,7 +33,6 @@ import (
 	"hplsim/internal/nas"
 	"hplsim/internal/schedstat"
 	"hplsim/internal/sim"
-	"hplsim/internal/trace"
 )
 
 // runFlags are the flags shared by the record modes (default and stat).
@@ -120,23 +119,33 @@ func recordMain(args []string) {
 
 	switch rf.format {
 	case "gantt":
-		rec := trace.NewRecorder()
-		opt.Tracer = rec
+		col := schedstat.NewCollector()
+		opt.Tracer = col
 		r := experiments.Run(opt)
 		lo := sim.Time(sim.DurationOf(rf.from))
 		hi := lo.Add(sim.DurationOf(rf.window))
 		fmt.Printf("%s under %s (seed %d): elapsed %.3fs, %d migrations, %d ctx switches\n\n",
 			opt.Profile.Name(), opt.Scheme, rf.seed, r.ElapsedSec,
 			r.Window.Migrations, r.Window.ContextSwitches)
-		fmt.Print(rec.Gantt(lo, hi, rf.cols))
+		fmt.Print(schedstat.Gantt(col.Events, lo, hi, rf.cols))
 		if rf.events {
 			fmt.Println("\nevents:")
 			n := 0
-			for _, e := range rec.Evs {
-				if e.At < lo || e.At > hi || e.Kind == "mark" {
+			for _, e := range col.Events {
+				at := sim.Time(e.T)
+				if at < lo || at > hi {
 					continue
 				}
-				fmt.Printf("  %v %-8s %-12s %s\n", e.At, e.Kind, e.Task, e.Label)
+				var where string
+				switch e.Ev {
+				case schedstat.KindMigrate:
+					where = fmt.Sprintf("cpu%d->cpu%d", e.From, e.To)
+				case schedstat.KindWake:
+					where = fmt.Sprintf("cpu%d", e.CPU)
+				default:
+					continue
+				}
+				fmt.Printf("  %v %-8s %-12s %s\n", at, e.Ev, e.Task, where)
 				n++
 				if n > 200 {
 					fmt.Println("  ... (truncated)")

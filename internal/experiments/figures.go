@@ -7,11 +7,11 @@ import (
 	"hplsim/internal/kernel"
 	"hplsim/internal/mpi"
 	"hplsim/internal/nas"
+	"hplsim/internal/schedstat"
 	"hplsim/internal/sim"
 	"hplsim/internal/stats"
 	"hplsim/internal/task"
 	"hplsim/internal/topo"
-	"hplsim/internal/trace"
 )
 
 // Figure1 reproduces the paper's Figure 1: the effect of process preemption
@@ -20,8 +20,8 @@ import (
 // CPU and preempts it. The rendered timeline shows every other rank idling
 // at the barrier until the delayed rank arrives.
 func Figure1(seed uint64) string {
-	rec := trace.NewRecorder()
-	k := kernel.New(kernel.Config{Seed: seed, Tracer: rec})
+	col := schedstat.NewCollector()
+	k := kernel.New(kernel.Config{Seed: seed, Tracer: col})
 
 	const (
 		iters    = 4
@@ -67,13 +67,12 @@ func Figure1(seed uint64) string {
 	})
 
 	k.Run(sim.Time(sim.Second))
-	rec.Close(k.Now())
 
 	var b strings.Builder
 	b.WriteString("Figure 1: effects of process pre-emption on a parallel application\n")
 	b.WriteString("(ranks 0-3 compute 20ms per iteration and synchronise at a barrier;\n")
 	b.WriteString(" a daemon 'd' preempts rank 0 at t=28ms; '.' is idle/barrier wait)\n\n")
-	b.WriteString(rec.Gantt(0, sim.Time(110*sim.Millisecond), 100))
+	b.WriteString(schedstat.Gantt(col.Events, 0, sim.Time(110*sim.Millisecond), 100))
 	return b.String()
 }
 

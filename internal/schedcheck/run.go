@@ -35,11 +35,11 @@ type report struct {
 	perf      perf.Counters
 }
 
-// recorder implements kernel.Tracer, kernel.KindTracer, and
-// kernel.TaskTracer: it probes the scheduler at every context switch and
-// migration, fingerprints the engine's dispatch stream through the Observer
-// hook, and feeds a schedstat accounting ledger whose wait measurements the
-// latency oracle checks against the round-robin bound.
+// recorder implements kernel.Tracer: it probes the scheduler at every
+// context switch and migration, fingerprints the engine's dispatch stream
+// through the Observer hook, and feeds a schedstat accounting ledger whose
+// wait measurements the latency oracle checks against the round-robin
+// bound.
 type recorder struct {
 	k      *kernel.Kernel
 	scheme string
@@ -158,10 +158,10 @@ func (r *recorder) Switch(now sim.Time, cpu int, prev, next *task.Task) {
 	}
 }
 
-// MigrateK implements kernel.KindTracer: the fork-time-only probe. Under
+// Migrate implements kernel.Tracer: the fork-time-only probe. Under
 // the HPL scheme an HPC task may migrate exactly once, at fork placement.
-func (r *recorder) MigrateK(now sim.Time, t *task.Task, from, to int, kind kernel.MigrateKind) {
-	r.acct.MigrateK(now, t, from, to, kind)
+func (r *recorder) Migrate(now sim.Time, t *task.Task, from, to int, kind kernel.MigrateKind) {
+	r.acct.Migrate(now, t, from, to, kind)
 	r.disarmBound(t.ID)
 	if t.Policy != task.HPC || r.scheme != SchemeHPL {
 		return
@@ -181,9 +181,6 @@ func (r *recorder) MigrateK(now sim.Time, t *task.Task, from, to int, kind kerne
 	}
 }
 
-// Migrate implements kernel.Tracer (kinds arrive through MigrateK).
-func (r *recorder) Migrate(now sim.Time, t *task.Task, from, to int) {}
-
 // Wake implements kernel.Tracer. The wake hook fires before the enqueue,
 // so the queue census counts exactly the tasks ahead of t.
 func (r *recorder) Wake(now sim.Time, t *task.Task, cpu int) {
@@ -198,7 +195,7 @@ func (r *recorder) Mark(now sim.Time, t *task.Task, label string) {
 	r.acct.Mark(now, t, label)
 }
 
-// Fork implements kernel.TaskTracer; like Wake it fires pre-enqueue.
+// Fork implements kernel.Tracer; like Wake it fires pre-enqueue.
 func (r *recorder) Fork(now sim.Time, t *task.Task, cpu int) {
 	r.acct.Fork(now, t, cpu)
 	if r.latOn && t.Policy == task.HPC {
@@ -206,7 +203,7 @@ func (r *recorder) Fork(now sim.Time, t *task.Task, cpu int) {
 	}
 }
 
-// Exit implements kernel.TaskTracer.
+// Exit implements kernel.Tracer.
 func (r *recorder) Exit(now sim.Time, t *task.Task) {
 	r.acct.Exit(now, t)
 }

@@ -69,9 +69,9 @@ func (c *CPUStats) Busy() sim.Duration {
 }
 
 // Accounting threads per-task and per-CPU schedstat accounting through the
-// kernel tracer hooks. It implements kernel.Tracer, kernel.KindTracer, and
-// kernel.TaskTracer; attach it as Config.Tracer (or feed it a recorded
-// event stream via Replay) and call Finish after the run.
+// kernel tracer hooks. It implements kernel.Tracer; attach it as
+// Config.Tracer (or feed it a recorded event stream via Replay) and call
+// Finish after the run.
 type Accounting struct {
 	Tasks []*TaskStats // dense, indexed by task ID; nil where never observed
 	CPUs  []*CPUStats  // dense, indexed by CPU id
@@ -196,28 +196,25 @@ func (a *Accounting) Wake(now sim.Time, t *task.Task, cpu int) {
 	tt.waitSince = now
 }
 
-// Fork implements kernel.TaskTracer: a fork-time enqueue opens the task's
+// Fork implements kernel.Tracer: a fork-time enqueue opens the task's
 // first wait interval.
 func (a *Accounting) Fork(now sim.Time, t *task.Task, cpu int) {
 	a.touch(now)
 	a.taskOf(t).waitSince = now
 }
 
-// Exit implements kernel.TaskTracer. The final run span is settled by the
+// Exit implements kernel.Tracer. The final run span is settled by the
 // context switch that follows at the same instant.
 func (a *Accounting) Exit(now sim.Time, t *task.Task) {
 	a.touch(now)
 	a.taskOf(t).Dead = true
 }
 
-// MigrateK implements kernel.KindTracer.
-func (a *Accounting) MigrateK(now sim.Time, t *task.Task, from, to int, kind kernel.MigrateKind) {
+// Migrate implements kernel.Tracer.
+func (a *Accounting) Migrate(now sim.Time, t *task.Task, from, to int, kind kernel.MigrateKind) {
 	a.touch(now)
 	a.taskOf(t).Migrations++
 }
-
-// Migrate implements kernel.Tracer (kinds arrive through MigrateK).
-func (a *Accounting) Migrate(now sim.Time, t *task.Task, from, to int) {}
 
 // Mark implements kernel.Tracer.
 func (a *Accounting) Mark(now sim.Time, t *task.Task, label string) {}
@@ -294,7 +291,7 @@ func (a *Accounting) Replay(evs []Event) {
 			a.Exit(sim.Time(e.T), &task.Task{ID: e.TID, Name: e.Task,
 				Policy: policyAt(e.TID, e.Task)})
 		case KindMigrate:
-			a.MigrateK(sim.Time(e.T), &task.Task{ID: e.TID, Name: e.Task,
+			a.Migrate(sim.Time(e.T), &task.Task{ID: e.TID, Name: e.Task,
 				Policy: policyAt(e.TID, e.Task)}, e.From, e.To, 0)
 		}
 	}

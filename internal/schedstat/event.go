@@ -3,9 +3,10 @@
 // on export) and per-task/per-CPU accounting in the spirit of Linux's
 // /proc/schedstat — run time, runnable-wait (scheduling latency), block
 // time, slice counts, migrations — fed entirely through the kernel's
-// Tracer hooks. With no tracer configured the kernel's hot path is
-// untouched; with the streaming writer attached, long runs cost a bounded
-// reusable buffer instead of the Recorder's unbounded in-memory span maps.
+// Tracer hooks, plus the text Gantt timeline of the paper's Figure 1. With
+// no tracer configured the kernel's hot path is untouched; with the
+// streaming writer attached, long runs cost a bounded reusable buffer
+// however long they are.
 //
 // The JSONL encoding is canonical: for every event kind there is exactly
 // one byte representation (fixed key order, fixed field set, integer

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // pfArgs is the args payload of a metadata record.
@@ -33,14 +32,6 @@ type pfTrace struct {
 
 func usec(tns int64) float64 { return float64(tns) / 1e3 }
 
-// pfOpen tracks the task occupying one CPU between switch events.
-type pfOpen struct {
-	name  string
-	id    int
-	start int64
-	live  bool
-}
-
 // WritePerfetto converts an event stream to Chrome/Perfetto trace_event
 // JSON: one thread per CPU under pid 0, "X" complete events for run spans
 // (idle swapper spans are left blank), and "i" instant events for wakes,
@@ -48,71 +39,43 @@ type pfOpen struct {
 // https://ui.perfetto.dev or chrome://tracing.
 func WritePerfetto(w io.Writer, evs []Event) error {
 	var out []pfEvent
-	var open []pfOpen // indexed by CPU
-	grow := func(cpu int) {
-		for len(open) <= cpu {
-			open = append(open, pfOpen{})
-		}
-	}
-	isIdle := func(name string) bool { return strings.HasPrefix(name, "swapper") }
-	closeSpan := func(cpu int, end int64) {
-		o := open[cpu]
-		if !o.live || isIdle(o.name) || end <= o.start {
-			return
-		}
-		out = append(out, pfEvent{
-			Name: o.name, Ph: "X", TS: usec(o.start), Dur: usec(end) - usec(o.start),
-			PID: 0, TID: cpu,
-		})
-	}
-	// tidOf places a per-task instant on the CPU currently running the
-	// task, if a switch has shown us where that is.
-	tidOf := func(id int) int {
-		for cpu := range open {
-			if open[cpu].live && open[cpu].id == id {
-				return cpu
-			}
-		}
-		return 0
-	}
+	var rs runSpans
+	ncpu := 0 // one thread per CPU any event names
+	seen := func(cpu int) { ncpu = max(ncpu, cpu+1) }
 	instant := func(name string, t int64, tid int) pfEvent {
 		return pfEvent{Name: name, Ph: "i", TS: usec(t), PID: 0, TID: tid, S: "t"}
 	}
-
-	var maxT int64
-	for _, e := range evs {
-		if e.T > maxT {
-			maxT = e.T
-		}
+	rs.walk(evs, func(s span) {
+		out = append(out, pfEvent{
+			Name: s.task, Ph: "X", TS: usec(s.start), Dur: usec(s.end) - usec(s.start),
+			PID: 0, TID: s.cpu,
+		})
+	}, func(e Event) {
+		// Per-task instants without a CPU of their own go on the CPU
+		// currently running the task.
 		switch e.Ev {
-		case KindSwitch:
-			grow(e.CPU)
-			closeSpan(e.CPU, e.T)
-			open[e.CPU] = pfOpen{name: e.Next, id: e.NID, start: e.T, live: true}
 		case KindWake:
-			grow(e.CPU)
+			seen(e.CPU)
 			out = append(out, instant(fmt.Sprintf("wake %s", e.Task), e.T, e.CPU))
 		case KindMigrate:
-			grow(e.To)
+			seen(e.To)
 			out = append(out, instant(
 				fmt.Sprintf("migrate %s cpu%d->cpu%d (%s)", e.Task, e.From, e.To, e.Kind), e.T, e.To))
 		case KindFork:
-			grow(e.CPU)
+			seen(e.CPU)
 			out = append(out, instant(fmt.Sprintf("fork %s", e.Task), e.T, e.CPU))
 		case KindExit:
-			out = append(out, instant(fmt.Sprintf("exit %s", e.Task), e.T, tidOf(e.TID)))
+			out = append(out, instant(fmt.Sprintf("exit %s", e.Task), e.T, rs.cpuOf(e.TID)))
 		case KindMark:
-			out = append(out, instant(fmt.Sprintf("mark %s %s", e.Task, e.Label), e.T, tidOf(e.TID)))
+			out = append(out, instant(fmt.Sprintf("mark %s %s", e.Task, e.Label), e.T, rs.cpuOf(e.TID)))
 		}
-	}
-	for cpu := range open {
-		closeSpan(cpu, maxT)
-	}
+	})
+	ncpu = max(ncpu, len(rs.open))
 
 	meta := []pfEvent{{
 		Name: "process_name", Ph: "M", PID: 0, TID: 0, Args: &pfArgs{Name: "hplsim"},
 	}}
-	for cpu := range open {
+	for cpu := range ncpu {
 		meta = append(meta, pfEvent{
 			Name: "thread_name", Ph: "M", PID: 0, TID: cpu,
 			Args: &pfArgs{Name: fmt.Sprintf("cpu%d", cpu)},

@@ -9,17 +9,6 @@ import (
 	"hplsim/internal/task"
 )
 
-// Every schedstat sink speaks the full tracer surface: base events, typed
-// migrations, and task lifecycle edges.
-var (
-	_ kernel.KindTracer = (*Writer)(nil)
-	_ kernel.TaskTracer = (*Writer)(nil)
-	_ kernel.KindTracer = (*Collector)(nil)
-	_ kernel.TaskTracer = (*Collector)(nil)
-	_ kernel.KindTracer = (*Accounting)(nil)
-	_ kernel.TaskTracer = (*Accounting)(nil)
-)
-
 // Event constructors shared by the streaming writer, the in-memory
 // collector, and the accounting layer. Each mirrors one kernel tracer hook.
 
@@ -58,9 +47,9 @@ func NewMarkEvent(now sim.Time, t *task.Task, label string) Event {
 }
 
 // Writer streams canonical JSONL trace records to an io.Writer as the
-// simulation runs. It implements kernel.Tracer, kernel.KindTracer, and
-// kernel.TaskTracer, holds one reusable encode buffer plus a bufio stage,
-// and never retains events — memory stays constant however long the run.
+// simulation runs. It implements kernel.Tracer, holds one reusable encode
+// buffer plus a bufio stage, and never retains events — memory stays
+// constant however long the run.
 // Errors from the underlying writer are sticky and reported by Flush/Err.
 type Writer struct {
 	bw  *bufio.Writer
@@ -88,11 +77,8 @@ func (w *Writer) Switch(now sim.Time, cpu int, prev, next *task.Task) {
 	w.emit(NewSwitchEvent(now, cpu, prev, next))
 }
 
-// Migrate implements kernel.Tracer; kinds arrive through MigrateK.
-func (w *Writer) Migrate(now sim.Time, t *task.Task, from, to int) {}
-
-// MigrateK implements kernel.KindTracer.
-func (w *Writer) MigrateK(now sim.Time, t *task.Task, from, to int, kind kernel.MigrateKind) {
+// Migrate implements kernel.Tracer.
+func (w *Writer) Migrate(now sim.Time, t *task.Task, from, to int, kind kernel.MigrateKind) {
 	w.emit(NewMigrateEvent(now, t, from, to, kind))
 }
 
@@ -106,12 +92,12 @@ func (w *Writer) Mark(now sim.Time, t *task.Task, label string) {
 	w.emit(NewMarkEvent(now, t, label))
 }
 
-// Fork implements kernel.TaskTracer.
+// Fork implements kernel.Tracer.
 func (w *Writer) Fork(now sim.Time, t *task.Task, cpu int) {
 	w.emit(NewForkEvent(now, t, cpu))
 }
 
-// Exit implements kernel.TaskTracer.
+// Exit implements kernel.Tracer.
 func (w *Writer) Exit(now sim.Time, t *task.Task) {
 	w.emit(NewExitEvent(now, t))
 }
@@ -129,8 +115,8 @@ func (w *Writer) Flush() error {
 func (w *Writer) Err() error { return w.err }
 
 // Collector gathers the event stream in memory, for in-process conversion
-// (Perfetto export, golden generation, diffing). It implements the same
-// tracer interfaces as Writer.
+// (Perfetto export, Gantt charts, golden generation, diffing). It
+// implements kernel.Tracer like Writer.
 type Collector struct {
 	Events []Event
 }
@@ -143,11 +129,8 @@ func (c *Collector) Switch(now sim.Time, cpu int, prev, next *task.Task) {
 	c.Events = append(c.Events, NewSwitchEvent(now, cpu, prev, next))
 }
 
-// Migrate implements kernel.Tracer; kinds arrive through MigrateK.
-func (c *Collector) Migrate(now sim.Time, t *task.Task, from, to int) {}
-
-// MigrateK implements kernel.KindTracer.
-func (c *Collector) MigrateK(now sim.Time, t *task.Task, from, to int, kind kernel.MigrateKind) {
+// Migrate implements kernel.Tracer.
+func (c *Collector) Migrate(now sim.Time, t *task.Task, from, to int, kind kernel.MigrateKind) {
 	c.Events = append(c.Events, NewMigrateEvent(now, t, from, to, kind))
 }
 
@@ -161,12 +144,12 @@ func (c *Collector) Mark(now sim.Time, t *task.Task, label string) {
 	c.Events = append(c.Events, NewMarkEvent(now, t, label))
 }
 
-// Fork implements kernel.TaskTracer.
+// Fork implements kernel.Tracer.
 func (c *Collector) Fork(now sim.Time, t *task.Task, cpu int) {
 	c.Events = append(c.Events, NewForkEvent(now, t, cpu))
 }
 
-// Exit implements kernel.TaskTracer.
+// Exit implements kernel.Tracer.
 func (c *Collector) Exit(now sim.Time, t *task.Task) {
 	c.Events = append(c.Events, NewExitEvent(now, t))
 }
