@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"hplsim/internal/sim"
+	"hplsim/internal/stats"
 )
 
 // NodeModel maps a job's ideal demand (Job.Work) to the wall time it
@@ -29,19 +30,6 @@ func (ExactModel) Name() string { return "exact" }
 
 // Runtime implements NodeModel.
 func (ExactModel) Runtime(j Job, nodes int, rng *sim.RNG) sim.Duration { return j.Work }
-
-// maxOrderDraw draws the maximum of n iid U(0,1) variables with a single
-// uniform: P(max <= x) = x^n, so inverting the CDF gives u^(1/n). This is
-// the same order-statistic shortcut internal/cluster uses for its barrier
-// resonance model — one draw per job instead of one per node keeps the
-// cluster run O(jobs) in RNG traffic regardless of node count.
-func maxOrderDraw(rng *sim.RNG, n int) float64 {
-	u := rng.Float64()
-	if n <= 1 {
-		return u
-	}
-	return math.Pow(u, 1/float64(n))
-}
 
 // EmpiricalModel draws per-job slowdowns from a measured distribution of
 // single-node kernel runs. A job spanning n nodes advances at the pace of
@@ -83,7 +71,7 @@ func (m *EmpiricalModel) MaxSlowdown() float64 { return m.slowdowns[len(m.slowdo
 // Runtime implements NodeModel: Work scaled by the drawn max-of-n-nodes
 // slowdown, looked up as an empirical quantile.
 func (m *EmpiricalModel) Runtime(j Job, nodes int, rng *sim.RNG) sim.Duration {
-	q := maxOrderDraw(rng, nodes)
+	q := stats.MaxOfN(rng.Float64(), nodes)
 	idx := int(q * float64(len(m.slowdowns)))
 	if idx >= len(m.slowdowns) {
 		idx = len(m.slowdowns) - 1
@@ -120,6 +108,6 @@ func (m UniformModel) Name() string {
 
 // Runtime implements NodeModel.
 func (m UniformModel) Runtime(j Job, nodes int, rng *sim.RNG) sim.Duration {
-	s := m.Lo + (m.Hi-m.Lo)*maxOrderDraw(rng, nodes)
+	s := m.Lo + (m.Hi-m.Lo)*stats.MaxOfN(rng.Float64(), nodes)
 	return sim.Duration(float64(j.Work) * s)
 }

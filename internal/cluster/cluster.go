@@ -90,12 +90,9 @@ func ResonanceOpt(ns NodeSample, nodes []int, iters, draws int, rng *sim.RNG, wo
 			delayed := 0
 			for it := 0; it < iters; it++ {
 				// max over n independent node draws; equivalently one
-				// draw from the max-order statistic. Sampling the max
-				// directly via the CDF trick keeps cost O(1) per
-				// iteration: P(max <= x) = F(x)^n, so draw u and look
-				// up the u^(1/n) quantile.
-				u := r.Float64()
-				q := rootN(u, n)
+				// draw from the max-order statistic: look up the
+				// u^(1/n) quantile of the empirical distribution.
+				q := stats.MaxOfN(r.Float64(), n)
 				idx := int(q * float64(len(emp)))
 				if idx >= len(emp) {
 					idx = len(emp) - 1
@@ -122,40 +119,6 @@ func ResonanceOpt(ns NodeSample, nodes []int, iters, draws int, rng *sim.RNG, wo
 		})
 	}
 	return out
-}
-
-// rootN computes u^(1/n) without importing math for a hot loop — Newton on
-// x^n = u converges in a few steps for u in (0,1).
-func rootN(u float64, n int) float64 {
-	if n == 1 || u <= 0 {
-		return u
-	}
-	// Initial guess via exp(ln(u)/n) ~ 1 + ln(u)/n for u near 1; use a
-	// simple bisection for robustness (the loop is cheap and exact
-	// enough for index lookup).
-	lo, hi := 0.0, 1.0
-	for i := 0; i < 40; i++ {
-		mid := (lo + hi) / 2
-		if powInt(mid, n) < u {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// powInt computes x^n by binary exponentiation.
-func powInt(x float64, n int) float64 {
-	r := 1.0
-	for n > 0 {
-		if n&1 == 1 {
-			r *= x
-		}
-		x *= x
-		n >>= 1
-	}
-	return r
 }
 
 // Format renders resonance points as the text analogue of a scaling figure.

@@ -93,6 +93,18 @@ func Quantile(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
+// MaxOfN maps one uniform draw u in [0,1) to a draw of the maximum of n
+// iid U(0,1) variables: P(max <= x) = x^n, so inverting the CDF gives
+// u^(1/n). One draw per job or barrier instead of one per node keeps the
+// cluster and batch models O(1) in RNG traffic regardless of node count.
+// For n <= 1 it returns u.
+func MaxOfN(u float64, n int) float64 {
+	if n <= 1 {
+		return u
+	}
+	return math.Pow(u, 1/float64(n))
+}
+
 // Histogram is a fixed-width-bin histogram over [Lo, Hi).
 type Histogram struct {
 	Lo, Hi float64

@@ -152,3 +152,27 @@ func TestBin2D(t *testing.T) {
 		t.Fatalf("by = %v", by)
 	}
 }
+
+func TestMaxOfN(t *testing.T) {
+	check := func(u16 uint16, n8 uint8) bool {
+		u := float64(u16) / 65536
+		n := int(n8%64) + 1
+		r := MaxOfN(u, n)
+		return r >= 0 && r < 1 && r >= u && approx(math.Pow(r, float64(n)), u, 1e-12)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if MaxOfN(0.25, 2) != 0.5 || MaxOfN(0.3, 1) != 0.3 || MaxOfN(0.3, 0) != 0.3 {
+		t.Fatal("MaxOfN: wrong exact values")
+	}
+	// The draw samples the maximum of n uniforms, whose mean is n/(n+1).
+	const draws, n = 100000, 7
+	var sum float64
+	for i := 0; i < draws; i++ {
+		sum += MaxOfN((float64(i)+0.5)/draws, n)
+	}
+	if mean := sum / draws; !approx(mean, float64(n)/(n+1), 1e-4) {
+		t.Fatalf("mean of MaxOfN(u, %d) = %v, want %v", n, mean, float64(n)/(n+1))
+	}
+}
