@@ -7,8 +7,8 @@ import (
 )
 
 // The std/fast-forward benchmark pair measures the replication cost of one
-// ep.A run per iteration in each tick mode; cmd/benchjson records the same
-// comparison (across schemes and tick rates) into BENCH_fastforward.json.
+// ep.A run per iteration in each tick mode; perfbench (perfbench/README.md)
+// measures both modes end to end with repeated trials.
 
 func BenchmarkRunStandard(b *testing.B) {
 	opt := Options{Profile: nas.MustGet("ep", 'A'), Scheme: HPL, Seed: 1}

@@ -114,8 +114,8 @@ type Options struct {
 	// Naive selects the kernel's reference implementations of the wide-node
 	// hot paths (linear lane scans, full-topology balance sweeps, per-CPU
 	// tick catch-up): scheduling behaviour is identical, only the host cost
-	// changes. It exists so BENCH_scale.json can record the pre-optimization
-	// baseline alongside the optimized runs.
+	// changes. It is the reference implementation TestNaiveRunEquivalence
+	// checks the optimised scans against.
 	Naive bool
 	// NoDaemons suppresses the background daemon population.
 	NoDaemons bool

@@ -24,7 +24,7 @@ func wideTopo(t *testing.T) topo.Topology {
 // a multi-word topology: the naive reference scans and the optimized word
 // scans must produce bitwise-identical runs — same observables, same event
 // traffic, and the same scheduling trace event for event. Only host cost
-// may differ, which is what BENCH_scale.json measures.
+// may differ.
 func TestNaiveRunEquivalence(t *testing.T) {
 	machine := wideTopo(t)
 	for _, scheme := range []Scheme{Std, HPL} {

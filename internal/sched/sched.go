@@ -204,8 +204,8 @@ type Scheduler struct {
 	busy   []uint64
 	queued []uint64
 
-	// naiveScan forces the pre-optimisation full-span linear scans; the
-	// scale benchmark uses it to record the naive wide-mask baseline.
+	// naiveScan forces the pre-optimisation full-span linear scans, the
+	// test reference for the bitmap scans.
 	naiveScan bool
 
 	// nextBalance is the per-CPU, per-domain-level next balance time.
@@ -237,7 +237,8 @@ type Config struct {
 	// Chaos enables fault injection for the property harness.
 	Chaos Chaos
 	// NaiveScan disables the O(active-CPU) balancer scans in favour of
-	// full-span iteration (benchmark baseline only).
+	// full-span iteration: the reference implementation tests compare the
+	// optimised scans against.
 	NaiveScan bool
 }
 

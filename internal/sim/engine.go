@@ -72,8 +72,9 @@ type Engine struct {
 	seq      uint64
 	stopped  bool
 	// NaiveLanes restores the O(#lanes) linear scan for the next armed
-	// lane (benchmark baseline only). It must be set before any lane is
-	// armed and never changed afterwards.
+	// lane: the reference implementation TestLaneHeapMatchesNaiveScan
+	// compares the heap against. It must be set before any lane is armed
+	// and never changed afterwards.
 	NaiveLanes bool
 	// Dispatched counts heap events that have fired, for diagnostics and
 	// tests. Lane firings are counted separately in LaneFires.
