@@ -8,7 +8,8 @@
 // determinism, class-priority dominance, fork-time-only migration, noise
 // insulation, permutation invariance, time rescaling. Batch oracles:
 // determinism fingerprint over dispatch order, node-hour conservation,
-// EASY head-reservation, FCFS dominance, completion. The first failing
+// EASY head-reservation, FCFS dominance, completion. The -v log lists the
+// scenarios in seed order at any -workers. The lowest failing seed's
 // scenario is auto-shrunk to a minimal repro and, with -out, written as a
 // replay file suitable for committing under the layer's testdata/repros/.
 //
@@ -32,11 +33,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
 
 	"hplsim/internal/batch/batchcheck"
-	"hplsim/internal/pool"
 	"hplsim/internal/schedcheck"
+	"hplsim/internal/schedcheck/prop"
 )
 
 func main() {
@@ -46,7 +46,7 @@ func main() {
 		batchMode = flag.Bool("batch", false, "check the cluster batch layer instead of the node kernel")
 		replay    = flag.String("replay", "", "replay a repro file or directory instead of generating a corpus")
 		out       = flag.String("out", "", "write the shrunk repro of the first failure to this file")
-		budget    = flag.Int("shrink-budget", schedcheck.DefaultShrinkBudget, "max oracle checks spent shrinking a failure")
+		budget    = flag.Int("shrink-budget", prop.DefaultShrinkBudget, "max oracle checks spent shrinking a failure")
 		workers   = flag.Int("workers", 0, "parallel checkers (0 = GOMAXPROCS; results are worker-count independent)")
 		verbose   = flag.Bool("v", false, "log every scenario checked")
 	)
@@ -56,170 +56,38 @@ func main() {
 	}
 	flag.Parse()
 
-	if *replay != "" {
-		if err := replayPath(*replay, *batchMode); err != nil {
-			fmt.Fprintln(os.Stderr, "schedcheck:", err)
-			os.Exit(1)
-		}
-		fmt.Println("replay ok")
-		return
-	}
-
-	if *scenarios <= 0 {
+	if *replay == "" && *scenarios <= 0 {
 		fmt.Fprintln(os.Stderr, "schedcheck: -scenarios must be positive")
 		os.Exit(2)
 	}
-
+	var code int
 	if *batchMode {
-		batchCorpus(*scenarios, *seed, *out, *budget, *workers, *verbose)
-		return
+		code = check(batchcheck.Harness, *replay, *scenarios, *seed, *workers, *budget, *out, *verbose)
+	} else {
+		code = check(schedcheck.Harness, *replay, *scenarios, *seed, *workers, *budget, *out, *verbose)
 	}
-
-	type failure struct {
-		seed uint64
-		fail *schedcheck.Failure
-	}
-	var (
-		mu    sync.Mutex
-		fails []failure
-	)
-	pool.ForN(*scenarios, *workers, func(i int) {
-		sd := *seed + uint64(i)
-		s := schedcheck.Generate(sd)
-		f := schedcheck.Check(s)
-		mu.Lock()
-		defer mu.Unlock()
-		if *verbose {
-			verdict := "ok"
-			if f != nil {
-				verdict = f.Error()
-			}
-			fmt.Printf("seed %d: %d ranks, %d daemons, %d rt, %s/%s, barrier=%v: %s\n",
-				sd, len(s.Ranks), len(s.Daemons), len(s.RTNoise), s.Physics, s.Scheme, s.Barrier, verdict)
-		}
-		if f != nil {
-			fails = append(fails, failure{sd, f})
-		}
-	})
-
-	if len(fails) == 0 {
-		fmt.Printf("schedcheck: %d scenarios (seeds %d..%d), all oracles green\n",
-			*scenarios, *seed, *seed+uint64(*scenarios)-1)
-		return
-	}
-
-	// Deterministic reporting: pick the lowest failing seed regardless of
-	// the order workers finished in.
-	first := fails[0]
-	for _, f := range fails[1:] {
-		if f.seed < first.seed {
-			first = f
-		}
-	}
-	fmt.Fprintf(os.Stderr, "schedcheck: %d of %d scenarios failed\n", len(fails), *scenarios)
-	fmt.Fprintf(os.Stderr, "seed %d: %v\n", first.seed, first.fail)
-
-	small, sf := schedcheck.Shrink(schedcheck.Generate(first.seed), *budget)
-	fmt.Fprintf(os.Stderr, "shrunk to %d tasks: %v\n", small.TaskCount(), sf)
-	if *out != "" {
-		r := schedcheck.Repro{
-			Version:  schedcheck.ReproVersion,
-			Note:     fmt.Sprintf("shrunk from seed %d", first.seed),
-			Expect:   "fail",
-			Oracle:   sf.Oracle,
-			Scenario: small,
-		}
-		if err := schedcheck.WriteRepro(*out, r); err != nil {
-			fmt.Fprintln(os.Stderr, "schedcheck:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "repro written to %s\n", *out)
-	} else if data, err := small.MarshalIndent(); err == nil {
-		fmt.Fprintf(os.Stderr, "shrunk scenario:\n%s\n", data)
-	}
-	os.Exit(1)
+	os.Exit(code)
 }
 
-// batchCorpus is corpus mode against the cluster batch layer.
-func batchCorpus(scenarios int, seed uint64, out string, budget, workers int, verbose bool) {
-	type failure struct {
-		seed uint64
-		fail *batchcheck.Failure
+// check replays path (a repro file, or every repro in a directory) when
+// it is set, and otherwise runs the seeded corpus. It returns the exit
+// status.
+func check[S prop.Scenario](h prop.Harness[S], path string, scenarios int, seed uint64, workers, budget int, out string, verbose bool) int {
+	if path == "" {
+		return h.Corpus(os.Stdout, os.Stderr, scenarios, seed, workers, budget, out, verbose)
 	}
-	var (
-		mu    sync.Mutex
-		fails []failure
-	)
-	pool.ForN(scenarios, workers, func(i int) {
-		sd := seed + uint64(i)
-		s := batchcheck.Generate(sd)
-		f := batchcheck.Check(s)
-		mu.Lock()
-		defer mu.Unlock()
-		if verbose {
-			verdict := "ok"
-			if f != nil {
-				verdict = f.Error()
-			}
-			fmt.Printf("seed %d: %d jobs, %d nodes x %d ranks, %s/%s: %s\n",
-				sd, len(s.Jobs), s.Nodes, s.RanksPerNode, s.Policy, s.Model, verdict)
-		}
-		if f != nil {
-			fails = append(fails, failure{sd, f})
-		}
-	})
-
-	if len(fails) == 0 {
-		fmt.Printf("schedcheck: %d batch scenarios (seeds %d..%d), all oracles green\n",
-			scenarios, seed, seed+uint64(scenarios)-1)
-		return
-	}
-
-	first := fails[0]
-	for _, f := range fails[1:] {
-		if f.seed < first.seed {
-			first = f
-		}
-	}
-	fmt.Fprintf(os.Stderr, "schedcheck: %d of %d batch scenarios failed\n", len(fails), scenarios)
-	fmt.Fprintf(os.Stderr, "seed %d: %v\n", first.seed, first.fail)
-
-	small, sf := batchcheck.Shrink(batchcheck.Generate(first.seed), budget)
-	fmt.Fprintf(os.Stderr, "shrunk to %d jobs: %v\n", len(small.Jobs), sf)
-	if out != "" {
-		r := batchcheck.Repro{
-			Version:  batchcheck.ReproVersion,
-			Note:     fmt.Sprintf("shrunk from batch seed %d", first.seed),
-			Expect:   "fail",
-			Oracle:   sf.Oracle,
-			Scenario: small,
-		}
-		if err := batchcheck.WriteRepro(out, r); err != nil {
-			fmt.Fprintln(os.Stderr, "schedcheck:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "repro written to %s\n", out)
-	} else if data, err := small.MarshalIndent(); err == nil {
-		fmt.Fprintf(os.Stderr, "shrunk scenario:\n%s\n", data)
-	}
-	os.Exit(1)
-}
-
-// replayPath replays a single repro file, or every repro in a directory,
-// against the selected harness.
-func replayPath(path string, batchMode bool) error {
 	info, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	if batchMode {
+	if err == nil {
 		if info.IsDir() {
-			return batchcheck.ReplayDir(path)
+			err = h.ReplayDir(path)
+		} else {
+			err = h.ReplayFile(path)
 		}
-		return batchcheck.ReplayFile(path)
 	}
-	if info.IsDir() {
-		return schedcheck.ReplayDir(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "schedcheck:", err)
+		return 1
 	}
-	return schedcheck.ReplayFile(path)
+	fmt.Println("replay ok")
+	return 0
 }

@@ -26,6 +26,7 @@ var allocPatterns = []string{
 	"./internal/schedstat",
 	"./internal/batch",
 	"./internal/simq",
+	"./internal/binheap",
 }
 
 // allocBudget is the committed per-function escape budget.

@@ -25,6 +25,7 @@ var invcheckPkgs = map[string]bool{
 	"internal/kernel":    true,
 	"internal/batch":     true,
 	"internal/simq":      true,
+	"internal/binheap":   true,
 }
 
 const invariantsStubFile = "invariants_off.go"

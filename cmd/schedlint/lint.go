@@ -141,6 +141,7 @@ var deterministicPkgs = []string{
 	"internal/schedstat",
 	"internal/batch",
 	"internal/simq",
+	"internal/binheap",
 }
 
 // pkgScope classifies a target package for rule selection.

@@ -1,11 +1,13 @@
 package batchcheck
 
 import (
+	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"hplsim/internal/batch"
+	"hplsim/internal/schedcheck/prop"
 )
 
 // TestCorpus runs the full 200-seed corpus CI uses: every generated
@@ -18,7 +20,7 @@ func TestCorpus(t *testing.T) {
 	for seed := uint64(0); seed < uint64(n); seed++ {
 		s := Generate(seed)
 		if f := Check(s); f != nil {
-			data, _ := s.MarshalIndent()
+			data, _ := json.MarshalIndent(s, "", "  ")
 			t.Fatalf("seed %d: %v\nscenario:\n%s", seed, f, data)
 		}
 	}
@@ -108,7 +110,7 @@ func TestOraclesCatchChaos(t *testing.T) {
 // strictly smaller while preserving the failing oracle.
 func TestShrinkReduces(t *testing.T) {
 	s := chaosScenario("easy", batch.Chaos{Overcommit: true})
-	small, f := Shrink(s, 0)
+	small, f := Harness.Shrink(s, 0)
 	if f == nil {
 		t.Fatal("shrink lost the failure")
 	}
@@ -129,7 +131,7 @@ func TestShrinkReduces(t *testing.T) {
 
 func TestShrinkPassingScenarioIsIdentity(t *testing.T) {
 	s := Generate(3)
-	same, f := Shrink(s, 0)
+	same, f := Harness.Shrink(s, 0)
 	if f != nil {
 		t.Fatalf("passing scenario shrank to a failure: %v", f)
 	}
@@ -140,23 +142,23 @@ func TestShrinkPassingScenarioIsIdentity(t *testing.T) {
 
 func TestReproRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	small, f := Shrink(chaosScenario("fcfs", batch.Chaos{StarveHead: true}), 0)
+	small, f := Harness.Shrink(chaosScenario("fcfs", batch.Chaos{StarveHead: true}), 0)
 	if f == nil {
 		t.Fatal("expected a failure to pin")
 	}
-	r := Repro{Version: ReproVersion, Note: "round-trip test", Expect: "fail", Oracle: f.Oracle, Scenario: small}
+	r := prop.Repro[Scenario]{Version: prop.ReproVersion, Note: "round-trip test", Expect: "fail", Oracle: f.Oracle, Scenario: small}
 	path := filepath.Join(dir, "x.json")
-	if err := WriteRepro(path, r); err != nil {
+	if err := prop.WriteRepro(path, r); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadRepro(path)
+	back, err := prop.ReadRepro[Scenario](path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r, back) {
 		t.Fatal("repro did not survive the round trip")
 	}
-	if err := ReplayFile(path); err != nil {
+	if err := Harness.ReplayFile(path); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -164,7 +166,7 @@ func TestReproRoundTrip(t *testing.T) {
 // TestCommittedRepros replays the corpus CI replays: the committed files
 // must keep reproducing their recorded verdicts.
 func TestCommittedRepros(t *testing.T) {
-	if err := ReplayDir("testdata/repros"); err != nil {
+	if err := Harness.ReplayDir("testdata/repros"); err != nil {
 		t.Fatal(err)
 	}
 }

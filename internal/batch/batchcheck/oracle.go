@@ -5,6 +5,7 @@ import (
 	"reflect"
 
 	"hplsim/internal/batch"
+	"hplsim/internal/schedcheck/prop"
 	"hplsim/internal/sim"
 )
 
@@ -16,14 +17,6 @@ const (
 	OracleFCFSOrder    = "fcfs-order"
 	OracleCompletion   = "completion"
 )
-
-// Failure is one oracle violation.
-type Failure struct {
-	Oracle string
-	Detail string
-}
-
-func (f *Failure) Error() string { return fmt.Sprintf("[%s] %s", f.Oracle, f.Detail) }
 
 // easyApplicable gates the head-reservation oracle: the EASY guarantee
 // ("the reserved head never starts later than its reservation") only holds
@@ -43,12 +36,25 @@ func (s Scenario) easyApplicable() bool {
 	return true
 }
 
+// Harness is the batch-layer property check for the prop core.
+var Harness = prop.Harness[Scenario]{
+	Kind:       "batch",
+	Generate:   Generate,
+	Check:      Check,
+	Candidates: candidates,
+	Describe: func(s Scenario) string {
+		return fmt.Sprintf("%d jobs, %d nodes x %d ranks, %s/%s",
+			len(s.Jobs), s.Nodes, s.RanksPerNode, s.Policy, s.Model)
+	},
+	Size: func(s Scenario) string { return fmt.Sprintf("%d jobs", len(s.Jobs)) },
+}
+
 // Check runs the scenario's cluster simulation and applies every
 // applicable oracle, returning the first failure or nil. It must be a
 // deterministic pure function of the scenario: Replay leans on that.
-func Check(s Scenario) *Failure {
+func Check(s Scenario) *prop.Failure {
 	if err := s.Validate(); err != nil {
-		return &Failure{Oracle: "validate", Detail: err.Error()}
+		return &prop.Failure{Oracle: prop.OracleInvalid, Detail: err.Error()}
 	}
 
 	// The EASY reservation ledger: the tightest reservation ever granted
@@ -76,11 +82,11 @@ func Check(s Scenario) *Failure {
 	cfg2 := s.config()
 	res2 := batch.Simulate(cfg2)
 	if res.Fingerprint != res2.Fingerprint {
-		return &Failure{Oracle: OracleDeterminism,
+		return &prop.Failure{Oracle: OracleDeterminism,
 			Detail: fmt.Sprintf("dispatch fingerprints differ across identical runs: %016x vs %016x", res.Fingerprint, res2.Fingerprint)}
 	}
 	if !reflect.DeepEqual(res, res2) {
-		return &Failure{Oracle: OracleDeterminism, Detail: "identical runs produced different results beyond the fingerprint"}
+		return &prop.Failure{Oracle: OracleDeterminism, Detail: "identical runs produced different results beyond the fingerprint"}
 	}
 
 	if f := checkConservation(s, res); f != nil {
@@ -107,7 +113,7 @@ func Check(s Scenario) *Failure {
 // checkConservation sweeps the dispatched intervals and fails if the
 // summed allocation ever exceeds cluster capacity. Completions release
 // before coincident starts, matching the dispatcher's event order.
-func checkConservation(s Scenario, res batch.Result) *Failure {
+func checkConservation(s Scenario, res batch.Result) *prop.Failure {
 	type edge struct {
 		at    sim.Time
 		delta int
@@ -119,7 +125,7 @@ func checkConservation(s Scenario, res batch.Result) *Failure {
 			continue
 		}
 		if st.End <= st.Start {
-			return &Failure{Oracle: OracleConservation,
+			return &prop.Failure{Oracle: OracleConservation,
 				Detail: fmt.Sprintf("job %d occupies an empty interval [%v, %v)", st.ID, st.Start, st.End)}
 		}
 		edges = append(edges, edge{st.Start, st.Nodes, st.ID}, edge{st.End, -st.Nodes, st.ID})
@@ -138,7 +144,7 @@ func checkConservation(s Scenario, res batch.Result) *Failure {
 	for _, e := range edges {
 		used += e.delta
 		if used > s.Nodes {
-			return &Failure{Oracle: OracleConservation,
+			return &prop.Failure{Oracle: OracleConservation,
 				Detail: fmt.Sprintf("at %v the cluster holds %d allocated nodes of %d (job %d pushed it over)",
 					e.at, used, s.Nodes, e.id)}
 		}
@@ -149,15 +155,15 @@ func checkConservation(s Scenario, res batch.Result) *Failure {
 // checkFCFSOrder demands starts in strict arrival order under the FCFS
 // policy: an unstarted or overtaken earlier arrival is a violation.
 // res.Jobs is already in (Arrival, ID) order.
-func checkFCFSOrder(res batch.Result) *Failure {
+func checkFCFSOrder(res batch.Result) *prop.Failure {
 	for i := 1; i < len(res.Jobs); i++ {
 		prev, cur := res.Jobs[i-1], res.Jobs[i]
 		if cur.Started && !prev.Started {
-			return &Failure{Oracle: OracleFCFSOrder,
+			return &prop.Failure{Oracle: OracleFCFSOrder,
 				Detail: fmt.Sprintf("job %d started at %v while earlier job %d never started", cur.ID, cur.Start, prev.ID)}
 		}
 		if cur.Started && prev.Started && cur.Start < prev.Start {
-			return &Failure{Oracle: OracleFCFSOrder,
+			return &prop.Failure{Oracle: OracleFCFSOrder,
 				Detail: fmt.Sprintf("job %d (arrived %v) started at %v, before earlier job %d (arrived %v, started %v)",
 					cur.ID, cur.Arrival, cur.Start, prev.ID, prev.Arrival, prev.Start)}
 		}
@@ -169,7 +175,7 @@ func checkFCFSOrder(res batch.Result) *Failure {
 // reservation while blocked at the head starts no later than the tightest
 // reservation it was ever granted (estimates are upper bounds here, so
 // actual releases only come early and can only improve the bound).
-func checkEASYHead(res batch.Result, reservation map[int]sim.Time, resOrder []int) *Failure {
+func checkEASYHead(res batch.Result, reservation map[int]sim.Time, resOrder []int) *prop.Failure {
 	stats := make(map[int]batch.JobStat, len(res.Jobs))
 	for _, st := range res.Jobs {
 		stats[st.ID] = st
@@ -178,14 +184,14 @@ func checkEASYHead(res batch.Result, reservation map[int]sim.Time, resOrder []in
 		bound := reservation[id]
 		st, ok := stats[id]
 		if !ok {
-			return &Failure{Oracle: OracleEASYHead, Detail: fmt.Sprintf("reserved job %d missing from results", id)}
+			return &prop.Failure{Oracle: OracleEASYHead, Detail: fmt.Sprintf("reserved job %d missing from results", id)}
 		}
 		if !st.Started {
-			return &Failure{Oracle: OracleEASYHead,
+			return &prop.Failure{Oracle: OracleEASYHead,
 				Detail: fmt.Sprintf("job %d held a reservation for %v but never started", id, bound)}
 		}
 		if st.Start > bound {
-			return &Failure{Oracle: OracleEASYHead,
+			return &prop.Failure{Oracle: OracleEASYHead,
 				Detail: fmt.Sprintf("backfill delayed the reserved head: job %d started %v, reservation was %v",
 					id, st.Start, bound)}
 		}
@@ -195,15 +201,15 @@ func checkEASYHead(res batch.Result, reservation map[int]sim.Time, resOrder []in
 
 // checkCompletion demands every job ran to completion in a chaos-free
 // scenario; a stranded job means the scheduler wedged.
-func checkCompletion(res batch.Result) *Failure {
+func checkCompletion(res batch.Result) *prop.Failure {
 	for _, st := range res.Jobs {
 		if !st.Started {
-			return &Failure{Oracle: OracleCompletion,
+			return &prop.Failure{Oracle: OracleCompletion,
 				Detail: fmt.Sprintf("job %d (arrived %v) never started", st.ID, st.Arrival)}
 		}
 	}
 	if res.Dispatched != len(res.Jobs) {
-		return &Failure{Oracle: OracleCompletion,
+		return &prop.Failure{Oracle: OracleCompletion,
 			Detail: fmt.Sprintf("dispatched %d of %d jobs", res.Dispatched, len(res.Jobs))}
 	}
 	return nil

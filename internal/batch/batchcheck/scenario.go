@@ -8,7 +8,6 @@
 package batchcheck
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"hplsim/internal/batch"
@@ -129,9 +128,4 @@ func (s Scenario) clone() Scenario {
 	c.Jobs = make([]batch.Job, len(s.Jobs))
 	copy(c.Jobs, s.Jobs)
 	return c
-}
-
-// MarshalIndent renders the scenario as stable indented JSON.
-func (s Scenario) MarshalIndent() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }

@@ -2,51 +2,10 @@ package batchcheck
 
 import "hplsim/internal/sim"
 
-// DefaultShrinkBudget bounds the number of Check calls a shrink may spend.
-const DefaultShrinkBudget = 200
-
-// Shrink greedily reduces a failing scenario while it keeps failing (any
-// oracle): drop jobs, compress arrival gaps, halve work and estimates
-// together, shrink the cluster, flatten priorities, simplify the model.
-// It returns the smallest failing scenario found and its failure; a
-// passing input comes back unchanged with a nil failure. budget caps the
-// Check calls (<= 0 means DefaultShrinkBudget).
-func Shrink(s Scenario, budget int) (Scenario, *Failure) {
-	if budget <= 0 {
-		budget = DefaultShrinkBudget
-	}
-	fail := Check(s)
-	if fail == nil {
-		return s, nil
-	}
-	checks := 1
-	cur := s
-	for checks < budget {
-		improved := false
-		for _, cand := range candidates(cur) {
-			if cand.Validate() != nil {
-				continue
-			}
-			if checks >= budget {
-				break
-			}
-			f := Check(cand)
-			checks++
-			if f != nil {
-				cur, fail = cand, f
-				improved = true
-				break // restart from the reduced scenario
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	return cur, fail
-}
-
-// candidates enumerates one-step reductions, biggest wins first. Every
-// candidate is a fresh deep copy.
+// candidates enumerates one-step reductions, biggest wins first: drop
+// jobs, shrink the cluster, halve work and estimates together, compress
+// arrival gaps, flatten priorities, simplify the model. Every candidate is
+// a fresh deep copy.
 func candidates(s Scenario) []Scenario {
 	var out []Scenario
 

@@ -31,7 +31,8 @@ func TestCorruptQueueHeapPanics(t *testing.T) {
 		q.Push(Job{ID: i, Priority: i, Arrival: sim.Time(i) * sim.Time(sim.Second)})
 	}
 	// Swap the root below one of its children: heap order broken.
-	q.heap[0], q.heap[len(q.heap)-1] = q.heap[len(q.heap)-1], q.heap[0]
+	items := q.heap.Items()
+	items[0], items[len(items)-1] = items[len(items)-1], items[0]
 	expectViolation(t, func() {
 		q.Push(Job{ID: 99, Priority: 1, Arrival: sim.Time(sim.Second)})
 	})
@@ -42,7 +43,7 @@ func TestCorruptQueueKeyPanics(t *testing.T) {
 	q.Push(Job{ID: 0, Priority: 3, Arrival: 0})
 	q.Push(Job{ID: 1, Priority: 1, Arrival: 0})
 	// A key that no longer matches its (prio, arrival) derivation.
-	q.heap[0].key += 42
+	q.heap.Items()[0].key += 42
 	expectViolation(t, func() { q.Push(Job{ID: 2, Priority: 2, Arrival: 0}) })
 }
 

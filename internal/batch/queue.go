@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"hplsim/internal/binheap"
 	"hplsim/internal/invariant"
 	"hplsim/internal/sim"
 )
@@ -13,13 +14,13 @@ import (
 // key and needs no re-sifting as time advances. Ties break on earlier
 // arrival, then smaller ID, making the pop order total and deterministic.
 //
-// The heap is hand-rolled rather than container/heap (banned in the
-// deterministic core) and doubles as the model-based-testing target: the
-// property suite drives it against a sorted-slice reference.
+// The heap is the shared internal/binheap; AgingQueue doubles as a
+// model-based-testing target: the property suite drives it against a
+// sorted-slice reference.
 type AgingQueue struct {
 	// rate is the aging rate in priority points per second.
 	rate float64
-	heap []queueEntry
+	heap binheap.Heap[queueEntry]
 }
 
 type queueEntry struct {
@@ -33,14 +34,14 @@ type queueEntry struct {
 // rate degrades to a pure static-priority queue; a huge rate approaches
 // FCFS order.
 func NewAgingQueue(rate float64) *AgingQueue {
-	return &AgingQueue{rate: rate}
+	return &AgingQueue{rate: rate, heap: binheap.New(ahead)}
 }
 
 // Rate reports the aging rate.
 func (q *AgingQueue) Rate() float64 { return q.rate }
 
 // Len reports the number of queued jobs.
-func (q *AgingQueue) Len() int { return len(q.heap) }
+func (q *AgingQueue) Len() int { return q.heap.Len() }
 
 // EffectiveKey is the time-independent ordering key the queue uses for a
 // job: Priority - Rate*Arrival(seconds). At any instant t every job's aged
@@ -63,21 +64,12 @@ func ahead(a, b queueEntry) bool {
 
 // Push queues a job.
 func (q *AgingQueue) Push(j Job) {
-	q.heap = append(q.heap, queueEntry{
+	q.heap.Push(queueEntry{
 		id:      j.ID,
 		prio:    j.Priority,
 		arrival: j.Arrival,
 		key:     q.EffectiveKey(j),
 	})
-	i := len(q.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !ahead(q.heap[i], q.heap[parent]) {
-			break
-		}
-		q.heap[i], q.heap[parent] = q.heap[parent], q.heap[i]
-		i = parent
-	}
 	if invariant.Enabled {
 		q.checkQueue()
 	}
@@ -86,31 +78,12 @@ func (q *AgingQueue) Push(j Job) {
 // Pop removes and returns the ID of the highest aged-priority job. It
 // panics on an empty queue.
 func (q *AgingQueue) Pop() int {
-	if len(q.heap) == 0 {
+	top, ok := q.heap.Pop()
+	if !ok {
 		panic("batch: Pop on empty AgingQueue")
-	}
-	top := q.heap[0].id
-	last := len(q.heap) - 1
-	q.heap[0] = q.heap[last]
-	q.heap = q.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < len(q.heap) && ahead(q.heap[l], q.heap[best]) {
-			best = l
-		}
-		if r < len(q.heap) && ahead(q.heap[r], q.heap[best]) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		q.heap[i], q.heap[best] = q.heap[best], q.heap[i]
-		i = best
 	}
 	if invariant.Enabled {
 		q.checkQueue()
 	}
-	return top
+	return top.id
 }

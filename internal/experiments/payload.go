@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"strings"
 
 	"hplsim/internal/kernel"
@@ -151,17 +152,6 @@ type PayloadSummary struct {
 	TraceEvents int `json:"trace_events"`
 }
 
-// fnv1a matches the simq/schedcheck fingerprint so artifact and trace
-// fingerprints are comparable across the toolchain.
-func fnv1a(b []byte) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * prime
-	}
-	return h
-}
-
 // RunPayload executes one payload and renders its artifact: a summary JSON
 // line, then (with Trace set) the schedstat event trace in canonical JSONL.
 // The artifact is a pure function of the payload — the determinism contract
@@ -199,6 +189,8 @@ func RunPayload(p Payload) ([]byte, error) {
 		return nil, fmt.Errorf("experiments: flushing payload trace: %w", err)
 	}
 
+	fp := fnv.New64a()
+	_, _ = fp.Write(trace.Bytes()) // hash.Hash.Write never returns an error
 	summary := PayloadSummary{
 		Payload:     p,
 		ElapsedSec:  res.ElapsedSec,
@@ -206,7 +198,7 @@ func RunPayload(p Payload) ([]byte, error) {
 		CtxSwitches: res.Window.ContextSwitches,
 		Migrations:  res.Window.Migrations,
 		VirtualSec:  res.VirtualSec,
-		TraceFP:     fmt.Sprintf("%016x", fnv1a(trace.Bytes())),
+		TraceFP:     fmt.Sprintf("%016x", fp.Sum64()),
 		TraceEvents: bytes.Count(trace.Bytes(), []byte("\n")),
 	}
 	line, err := json.Marshal(summary)

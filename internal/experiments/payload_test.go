@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -171,7 +172,9 @@ func TestRunPayloadTraceShipping(t *testing.T) {
 }
 
 func fingerprintHex(b []byte) string {
-	h := fnv1a(b)
+	fp := fnv.New64a()
+	fp.Write(b)
+	h := fp.Sum64()
 	const hexdigits = "0123456789abcdef"
 	out := make([]byte, 16)
 	for i := 15; i >= 0; i-- {

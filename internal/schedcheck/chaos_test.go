@@ -1,11 +1,11 @@
 package schedcheck
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"hplsim/internal/schedcheck/prop"
 	"hplsim/internal/sim"
 )
 
@@ -48,7 +48,7 @@ func TestChaosCaughtAndShrunk(t *testing.T) {
 	}
 	t.Logf("chaos caught: %v", f)
 
-	small, sf := Shrink(s, 0)
+	small, sf := Harness.Shrink(s, 0)
 	if sf == nil {
 		t.Fatal("shrink lost the failure")
 	}
@@ -63,17 +63,17 @@ func TestChaosCaughtAndShrunk(t *testing.T) {
 
 	// Round-trip the shrunk scenario through a repro file and replay it.
 	path := filepath.Join(t.TempDir(), "chaos.json")
-	repro := Repro{
-		Version:  ReproVersion,
+	repro := prop.Repro[Scenario]{
+		Version:  prop.ReproVersion,
 		Note:     "self-test: post-fork HPC migration fault",
 		Expect:   "fail",
 		Oracle:   sf.Oracle,
 		Scenario: small,
 	}
-	if err := WriteRepro(path, repro); err != nil {
+	if err := prop.WriteRepro(path, repro); err != nil {
 		t.Fatalf("WriteRepro: %v", err)
 	}
-	if err := ReplayFile(path); err != nil {
+	if err := Harness.ReplayFile(path); err != nil {
 		t.Fatalf("ReplayFile: %v", err)
 	}
 }
@@ -91,7 +91,7 @@ func TestChaosOffIsClean(t *testing.T) {
 // TestShrinkPassingScenario: shrinking a green scenario is the identity.
 func TestShrinkPassingScenario(t *testing.T) {
 	s := Generate(1)
-	small, f := Shrink(s, 0)
+	small, f := Harness.Shrink(s, 0)
 	if f != nil {
 		t.Fatalf("green scenario shrank to a failure: %v", f)
 	}
@@ -103,56 +103,26 @@ func TestShrinkPassingScenario(t *testing.T) {
 // TestReplayExpectations covers the replay verdict matrix.
 func TestReplayExpectations(t *testing.T) {
 	green := Generate(1)
-	if err := Replay(Repro{Version: ReproVersion, Expect: "pass", Scenario: green}); err != nil {
+	if err := Harness.Replay(prop.Repro[Scenario]{Version: prop.ReproVersion, Expect: "pass", Scenario: green}); err != nil {
 		t.Fatalf("pass-expectation on a green scenario: %v", err)
 	}
-	err := Replay(Repro{Version: ReproVersion, Expect: "fail", Oracle: OracleMigration, Scenario: green})
+	err := Harness.Replay(prop.Repro[Scenario]{Version: prop.ReproVersion, Expect: "fail", Oracle: OracleMigration, Scenario: green})
 	if err == nil || !strings.Contains(err.Error(), "all oracles passed") {
 		t.Fatalf("fail-expectation on a green scenario: %v", err)
 	}
 	chaos := chaosScenario()
-	if err := Replay(Repro{Version: ReproVersion, Expect: "fail", Scenario: chaos}); err != nil {
+	if err := Harness.Replay(prop.Repro[Scenario]{Version: prop.ReproVersion, Expect: "fail", Scenario: chaos}); err != nil {
 		t.Fatalf("fail-expectation without a pinned oracle: %v", err)
 	}
-	if err := Replay(Repro{Version: ReproVersion, Expect: "pass", Scenario: chaos}); err == nil {
+	if err := Harness.Replay(prop.Repro[Scenario]{Version: prop.ReproVersion, Expect: "pass", Scenario: chaos}); err == nil {
 		t.Fatal("pass-expectation on a failing scenario did not error")
-	}
-}
-
-// TestReadReproRejects covers the repro-file guards.
-func TestReadReproRejects(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) string {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	if _, err := ReadRepro(filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("missing file accepted")
-	}
-	if _, err := ReadRepro(write("garbage.json", "{")); err == nil {
-		t.Error("malformed JSON accepted")
-	}
-	if _, err := ReadRepro(write("version.json", `{"Version": 99, "Expect": "pass"}`)); err == nil {
-		t.Error("future version accepted")
-	}
-	if _, err := ReadRepro(write("expect.json", `{"Version": 1, "Expect": "maybe"}`)); err == nil {
-		t.Error("bad expectation accepted")
-	}
-	if err := ReplayDir(dir); err == nil {
-		t.Error("ReplayDir over broken files did not error")
-	}
-	if err := ReplayDir(filepath.Join(dir, "empty")); err == nil {
-		t.Error("ReplayDir over a missing dir did not error")
 	}
 }
 
 // TestCommittedRepros replays every repro checked in under testdata/repros,
 // exactly as the CI job and cmd/schedcheck -replay do.
 func TestCommittedRepros(t *testing.T) {
-	if err := ReplayDir(filepath.Join("testdata", "repros")); err != nil {
+	if err := Harness.ReplayDir(filepath.Join("testdata", "repros")); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"strings"
 
+	"hplsim/internal/schedcheck/prop"
 	"hplsim/internal/sim"
 )
 
 // Oracle names, as reported in failures and repro files.
 const (
-	OracleInvalid     = "invalid"
 	OracleDominance   = "dominance"
 	OracleMigration   = "hpc-migration"
 	OracleLatency     = "hpc-wait-latency"
@@ -19,14 +19,6 @@ const (
 	OraclePermutation = "permutation"
 	OracleRescale     = "rescale"
 )
-
-// Failure describes one oracle violation on a scenario.
-type Failure struct {
-	Oracle string
-	Detail string
-}
-
-func (f *Failure) Error() string { return fmt.Sprintf("[%s] %s", f.Oracle, f.Detail) }
 
 // rescaleFactor is the time-rescaling multiplier. It must be a power of two
 // so that the kernel's float64 work arithmetic scales without rounding.
@@ -78,13 +70,25 @@ func (s Scenario) rescaleApplicable() bool {
 	return s.idealHPL() && len(s.Ranks) <= s.Topo.NumCPUs() && len(s.RTNoise) == 0
 }
 
+// Harness is the node-kernel property check for the prop core.
+var Harness = prop.Harness[Scenario]{
+	Generate:   Generate,
+	Check:      Check,
+	Candidates: candidates,
+	Describe: func(s Scenario) string {
+		return fmt.Sprintf("%d ranks, %d daemons, %d rt, %s/%s, barrier=%v",
+			len(s.Ranks), len(s.Daemons), len(s.RTNoise), s.Physics, s.Scheme, s.Barrier)
+	},
+	Size: func(s Scenario) string { return fmt.Sprintf("%d tasks", s.TaskCount()) },
+}
+
 // Check runs every applicable oracle against the scenario and returns the
 // first failure, or nil if all oracles are green. The invariant oracles
 // (dominance, fork-time-only migration, determinism) always run; the
 // metamorphic oracles run when their applicability predicate holds.
-func Check(s Scenario) *Failure {
+func Check(s Scenario) *prop.Failure {
 	if err := s.Validate(); err != nil {
-		return &Failure{Oracle: OracleInvalid, Detail: err.Error()}
+		return &prop.Failure{Oracle: prop.OracleInvalid, Detail: err.Error()}
 	}
 
 	base := runOnce(s, nil)
@@ -94,12 +98,12 @@ func Check(s Scenario) *Failure {
 
 	again := runOnce(s, nil)
 	if base.eventHash != again.eventHash {
-		return &Failure{Oracle: OracleDeterminism, Detail: fmt.Sprintf(
+		return &prop.Failure{Oracle: OracleDeterminism, Detail: fmt.Sprintf(
 			"event-stream fingerprint differs between identical runs: %016x vs %016x",
 			base.eventHash, again.eventHash)}
 	}
 	if d := diffObs(base.obs, again.obs, true, 1); d != "" {
-		return &Failure{Oracle: OracleDeterminism, Detail: "observables differ between identical runs: " + d}
+		return &prop.Failure{Oracle: OracleDeterminism, Detail: "observables differ between identical runs: " + d}
 	}
 
 	// Fast-forward equivalence: eliding quiescent ticks must be invisible
@@ -110,17 +114,17 @@ func Check(s Scenario) *Failure {
 	// predicate to hide behind.
 	ff := runMode(s, nil, true)
 	if base.eventHash != ff.eventHash {
-		return &Failure{Oracle: OracleFastForward, Detail: fmt.Sprintf(
+		return &prop.Failure{Oracle: OracleFastForward, Detail: fmt.Sprintf(
 			"dispatch fingerprint differs between tick modes: std %016x vs ff %016x",
 			base.eventHash, ff.eventHash)}
 	}
 	if d := diffObs(base.obs, ff.obs, true, 1); d != "" {
-		return &Failure{Oracle: OracleFastForward, Detail: "fast-forward changed observables: " + d}
+		return &prop.Failure{Oracle: OracleFastForward, Detail: "fast-forward changed observables: " + d}
 	}
 	pa, pb := base.perf, ff.perf
 	pa.TicksCoalesced, pb.TicksCoalesced = 0, 0
 	if pa != pb {
-		return &Failure{Oracle: OracleFastForward, Detail: fmt.Sprintf(
+		return &prop.Failure{Oracle: OracleFastForward, Detail: fmt.Sprintf(
 			"fast-forward changed perf counters: std %+v vs ff %+v", pa, pb)}
 	}
 
@@ -130,7 +134,7 @@ func Check(s Scenario) *Failure {
 			return f
 		}
 		if d := diffObs(quiet.obs, base.obs, true, 1); d != "" {
-			return &Failure{Oracle: OracleNoise, Detail: fmt.Sprintf(
+			return &prop.Failure{Oracle: OracleNoise, Detail: fmt.Sprintf(
 				"removing %d CFS daemon(s) changed HPC observables: %s", len(s.Daemons), d)}
 		}
 	}
@@ -143,7 +147,7 @@ func Check(s Scenario) *Failure {
 		// Migration counts are excluded: fork slot 0 inherits CPU 0 and
 		// never counts a placement migration, whichever workload runs it.
 		if d := diffObs(base.obs, perm.obs, false, 1); d != "" {
-			return &Failure{Oracle: OraclePermutation, Detail: "rotating workloads across fork slots changed per-workload observables: " + d}
+			return &prop.Failure{Oracle: OraclePermutation, Detail: "rotating workloads across fork slots changed per-workload observables: " + d}
 		}
 	}
 
@@ -153,7 +157,7 @@ func Check(s Scenario) *Failure {
 			return f
 		}
 		if d := diffObs(base.obs, scaled.obs, true, rescaleFactor); d != "" {
-			return &Failure{Oracle: OracleRescale, Detail: fmt.Sprintf(
+			return &prop.Failure{Oracle: OracleRescale, Detail: fmt.Sprintf(
 				"scaling all durations by %d did not scale HPC observables by %d: %s",
 				rescaleFactor, rescaleFactor, d)}
 		}
@@ -163,15 +167,15 @@ func Check(s Scenario) *Failure {
 }
 
 // violationFailure converts trace-probe violations of a run into a Failure.
-func violationFailure(r report) *Failure {
+func violationFailure(r report) *prop.Failure {
 	if len(r.domViol) > 0 {
-		return &Failure{Oracle: OracleDominance, Detail: summarize(r.domViol)}
+		return &prop.Failure{Oracle: OracleDominance, Detail: summarize(r.domViol)}
 	}
 	if len(r.migViol) > 0 {
-		return &Failure{Oracle: OracleMigration, Detail: summarize(r.migViol)}
+		return &prop.Failure{Oracle: OracleMigration, Detail: summarize(r.migViol)}
 	}
 	if len(r.latViol) > 0 {
-		return &Failure{Oracle: OracleLatency, Detail: summarize(r.latViol)}
+		return &prop.Failure{Oracle: OracleLatency, Detail: summarize(r.latViol)}
 	}
 	return nil
 }

@@ -27,7 +27,6 @@
 package schedcheck
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"hplsim/internal/sim"
@@ -282,9 +281,4 @@ func rotation(n int) []int {
 		p[i] = (i + 1) % n
 	}
 	return p
-}
-
-// MarshalIndent renders the scenario as indented JSON.
-func (s Scenario) MarshalIndent() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }

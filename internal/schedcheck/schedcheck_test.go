@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hplsim/internal/pool"
+	"hplsim/internal/schedcheck/prop"
 	"hplsim/internal/sim"
 )
 
@@ -22,7 +23,7 @@ func TestScenarioCorpus(t *testing.T) {
 	}
 	type bad struct {
 		seed uint64
-		fail *Failure
+		fail *prop.Failure
 	}
 	var mu sync.Mutex
 	var fails []bad
@@ -31,7 +32,7 @@ func TestScenarioCorpus(t *testing.T) {
 		s := Generate(seed)
 		if err := s.Validate(); err != nil {
 			mu.Lock()
-			fails = append(fails, bad{seed, &Failure{Oracle: OracleInvalid, Detail: err.Error()}})
+			fails = append(fails, bad{seed, &prop.Failure{Oracle: prop.OracleInvalid, Detail: err.Error()}})
 			mu.Unlock()
 			return
 		}
@@ -45,8 +46,8 @@ func TestScenarioCorpus(t *testing.T) {
 		t.Errorf("seed %d: %v", b.seed, b.fail)
 	}
 	if len(fails) > 0 {
-		small, f := Shrink(Generate(fails[0].seed), 0)
-		data, _ := small.MarshalIndent()
+		small, f := Harness.Shrink(Generate(fails[0].seed), 0)
+		data, _ := json.MarshalIndent(small, "", "  ")
 		t.Logf("shrunk repro for seed %d (%v):\n%s", fails[0].seed, f, data)
 	}
 }
@@ -73,7 +74,7 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestScenarioRoundTrip(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		s := Generate(seed)
-		data, err := s.MarshalIndent()
+		data, err := json.MarshalIndent(s, "", "  ")
 		if err != nil {
 			t.Fatalf("seed %d: marshal: %v", seed, err)
 		}

@@ -6,51 +6,10 @@ import "hplsim/internal/sim"
 // all edges and no steady state.
 const minCompute = 50 * sim.Microsecond
 
-// DefaultShrinkBudget bounds the number of Check calls a shrink may spend.
-const DefaultShrinkBudget = 200
-
-// Shrink greedily reduces a failing scenario while it keeps failing (any
-// oracle): drop noise tasks, drop ranks, drop phases, halve iteration
-// counts and durations, and shrink the topology. It returns the smallest
-// failing scenario found and its failure; if the input scenario passes, it
-// is returned unchanged with a nil failure. budget caps the number of
-// Check calls (<= 0 means DefaultShrinkBudget).
-func Shrink(s Scenario, budget int) (Scenario, *Failure) {
-	if budget <= 0 {
-		budget = DefaultShrinkBudget
-	}
-	fail := Check(s)
-	if fail == nil {
-		return s, nil
-	}
-	checks := 1
-	cur := s
-	for checks < budget {
-		improved := false
-		for _, cand := range candidates(cur) {
-			if cand.Validate() != nil {
-				continue
-			}
-			if checks >= budget {
-				break
-			}
-			f := Check(cand)
-			checks++
-			if f != nil {
-				cur, fail = cand, f
-				improved = true
-				break // restart from the reduced scenario
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	return cur, fail
-}
-
 // candidates enumerates one-step reductions of the scenario, biggest wins
-// first. Every candidate is a fresh deep copy.
+// first: drop noise tasks, drop ranks, shrink the topology, drop phases,
+// halve iteration counts and durations. Every candidate is a fresh deep
+// copy.
 func candidates(s Scenario) []Scenario {
 	var out []Scenario
 

@@ -2,8 +2,5 @@
 
 package simq
 
-// checkQueue is a no-op in normal builds; see invariants_on.go.
-func (q *Queue) checkQueue() {}
-
 // checkState is a no-op in normal builds; see invariants_on.go.
 func (s *State) checkState() {}

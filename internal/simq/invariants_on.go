@@ -4,24 +4,6 @@ package simq
 
 import "hplsim/internal/invariant"
 
-// checkQueue verifies the aging heap: parent entries pop no later than
-// their children, and every key agrees with its (derivable) submit stamp.
-// Keys are recomputed from the entry's own fields — a prio drift cannot be
-// detected here because the entry does not carry prio, but the state-level
-// audit cross-checks entries against the job table.
-func (q *Queue) checkQueue() {
-	for i := range q.heap {
-		if i == 0 {
-			continue
-		}
-		parent := (i - 1) / 2
-		if ahead(q.heap[i], q.heap[parent]) {
-			invariant.Violated("simq: ready heap order broken: child job %d (key %v) ahead of parent job %d (key %v)",
-				q.heap[i].job, q.heap[i].key, q.heap[parent].job, q.heap[parent].key)
-		}
-	}
-}
-
 // checkState verifies the dispatcher bookkeeping identities after every
 // mutation:
 //
@@ -32,7 +14,6 @@ func (q *Queue) checkQueue() {
 //     only — stale entries are awaiting lazy discard);
 //   - every pending job has exactly one live entry across ready+cooling,
 //     and every leased job exactly one live lease entry;
-//   - cooling and lease heaps are in heap order;
 //   - seq/stamp sanity: nextID matches the table size.
 func (s *State) checkState() {
 	var counts [5]int
@@ -70,25 +51,10 @@ func (s *State) checkState() {
 		invariant.Violated("simq: nextID %d does not follow last job %d", s.nextID, s.ids[len(s.ids)-1])
 	}
 
-	// Heap orders.
-	s.ready.checkQueue()
-	for i := 1; i < len(s.cooling.heap); i++ {
-		parent := (i - 1) / 2
-		if coolAhead(s.cooling.heap[i], s.cooling.heap[parent]) {
-			invariant.Violated("simq: cooling heap order broken at %d", i)
-		}
-	}
-	for i := 1; i < len(s.leases.heap); i++ {
-		parent := (i - 1) / 2
-		if leaseAhead(s.leases.heap[i], s.leases.heap[parent]) {
-			invariant.Violated("simq: lease heap order broken at %d", i)
-		}
-	}
-
 	// Exactly one live entry per pending job, one live lease per leased
 	// job; live ready keys agree with the job table.
 	liveEntry := make(map[int]int)
-	for _, e := range s.ready.heap {
+	for _, e := range s.ready.heap.Items() {
 		j := s.jobs[e.job]
 		if j == nil || j.state != Pending || j.attempt+1 != e.attempt {
 			continue // stale, awaiting lazy discard
@@ -103,7 +69,7 @@ func (s *State) checkState() {
 				e.job, e.submit, j.submit)
 		}
 	}
-	for _, e := range s.cooling.heap {
+	for _, e := range s.cooling.Items() {
 		j := s.jobs[e.job]
 		if j == nil || j.state != Pending || j.attempt+1 != e.attempt {
 			continue
@@ -111,7 +77,7 @@ func (s *State) checkState() {
 		liveEntry[e.job]++
 	}
 	liveLease := make(map[int]int)
-	for _, e := range s.leases.heap {
+	for _, e := range s.leases.Items() {
 		j := s.jobs[e.job]
 		if j == nil || j.state != Leased || j.attempt != e.attempt {
 			continue

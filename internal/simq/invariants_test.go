@@ -32,7 +32,8 @@ func TestCorruptReadyHeapPanics(t *testing.T) {
 		q.Push(i, 1, i, int64(i))
 	}
 	// Swap the root below one of its children: heap order broken.
-	q.heap[0], q.heap[len(q.heap)-1] = q.heap[len(q.heap)-1], q.heap[0]
+	items := q.heap.Items()
+	items[0], items[len(items)-1] = items[len(items)-1], items[0]
 	expectViolation(t, func() { q.Push(99, 1, 1, 99) })
 }
 
@@ -65,6 +66,6 @@ func TestCorruptLeaseDeadlinePanics(t *testing.T) {
 func TestCorruptReadyKeyPanics(t *testing.T) {
 	s := NewState(Config{AgingRate: 1})
 	mustApply(t, s, Record{Seq: 1, Op: OpSubmit, T: 10, Job: 0, Client: "c", Name: "j", Payload: "{}"})
-	s.ready.heap[0].key += 42
+	s.ready.heap.Items()[0].key += 42
 	expectViolation(t, func() { s.PeekClaim(20) })
 }

@@ -1,14 +1,12 @@
 package simq
 
-import (
-	"hplsim/internal/invariant"
-)
+import "hplsim/internal/binheap"
 
 // Queue orders ready jobs by aged priority, reusing the internal/batch
 // AgingQueue insight: when every job ages at the same rate, the comparison
 // reduces to the static key Prio - Rate*Submit(seconds), so the queue is
-// an ordinary hand-rolled max-heap (container/heap is banned in the
-// deterministic core) and never re-sifts as time advances. Ties break on
+// an ordinary max-heap (internal/binheap) and never re-sifts as time
+// advances. Ties break on
 // smaller job ID — submission order — making the pop order total and
 // deterministic.
 //
@@ -18,7 +16,7 @@ import (
 // it; stale entries cost one comparison on their way out.
 type Queue struct {
 	rate float64
-	heap []queueEntry
+	heap binheap.Heap[queueEntry]
 }
 
 type queueEntry struct {
@@ -31,14 +29,14 @@ type queueEntry struct {
 // NewQueue builds an empty queue with the given aging rate (priority
 // points per second of wait; 0 = static priority).
 func NewQueue(rate float64) *Queue {
-	return &Queue{rate: rate}
+	return &Queue{rate: rate, heap: binheap.New(ahead)}
 }
 
 // Rate reports the aging rate.
 func (q *Queue) Rate() float64 { return q.rate }
 
 // Len reports the number of entries, live and stale alike.
-func (q *Queue) Len() int { return len(q.heap) }
+func (q *Queue) Len() int { return q.heap.Len() }
 
 // Key is the time-independent ordering key for a job submitted at submit
 // nanoseconds with the given priority.
@@ -57,98 +55,48 @@ func ahead(a, b queueEntry) bool {
 // Push queues attempt of job. The submit stamp is the job's original
 // submission time, so a retried job keeps the age it has earned.
 func (q *Queue) Push(job, attempt, prio int, submit int64) {
-	q.heap = append(q.heap, queueEntry{
+	q.heap.Push(queueEntry{
 		job:     job,
 		attempt: attempt,
 		submit:  submit,
 		key:     q.Key(prio, submit),
 	})
-	i := len(q.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !ahead(q.heap[i], q.heap[parent]) {
-			break
-		}
-		q.heap[i], q.heap[parent] = q.heap[parent], q.heap[i]
-		i = parent
-	}
-	if invariant.Enabled {
-		q.checkQueue()
-	}
 }
 
 // Pop removes and returns the highest-priority live entry, discarding
 // stale entries (those live rejects) along the way. ok is false when no
 // live entry remains.
 func (q *Queue) Pop(live func(job, attempt int) bool) (job, attempt int, ok bool) {
-	for len(q.heap) > 0 {
-		top := q.heap[0]
-		last := len(q.heap) - 1
-		q.heap[0] = q.heap[last]
-		q.heap = q.heap[:last]
-		q.siftDown()
+	for {
+		top, ok := q.heap.Pop()
+		if !ok {
+			return 0, 0, false
+		}
 		if live(top.job, top.attempt) {
-			if invariant.Enabled {
-				q.checkQueue()
-			}
 			return top.job, top.attempt, true
 		}
 	}
-	if invariant.Enabled {
-		q.checkQueue()
-	}
-	return 0, 0, false
 }
 
 // Peek reports the highest-priority live entry without removing it,
 // discarding stale entries it passes over.
 func (q *Queue) Peek(live func(job, attempt int) bool) (job, attempt int, ok bool) {
-	for len(q.heap) > 0 {
-		top := q.heap[0]
+	for {
+		top, ok := q.heap.Peek()
+		if !ok {
+			return 0, 0, false
+		}
 		if live(top.job, top.attempt) {
-			if invariant.Enabled {
-				q.checkQueue()
-			}
 			return top.job, top.attempt, true
 		}
-		last := len(q.heap) - 1
-		q.heap[0] = q.heap[last]
-		q.heap = q.heap[:last]
-		q.siftDown()
-	}
-	if invariant.Enabled {
-		q.checkQueue()
-	}
-	return 0, 0, false
-}
-
-func (q *Queue) siftDown() {
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < len(q.heap) && ahead(q.heap[l], q.heap[best]) {
-			best = l
-		}
-		if r < len(q.heap) && ahead(q.heap[r], q.heap[best]) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		q.heap[i], q.heap[best] = q.heap[best], q.heap[i]
-		i = best
+		q.heap.Pop()
 	}
 }
 
-// coolHeap is the companion min-heap of cooling (backoff-delayed) retry
-// entries, ordered by not-before stamp with (job) as the deterministic
-// tiebreak. Entries move to the ready Queue when the observed time passes
-// their stamp; like Queue, deletion is lazy.
-type coolHeap struct {
-	heap []coolEntry
-}
-
+// coolEntry is a cooling (backoff-delayed) retry entry. The cooling heap
+// orders them by not-before stamp with job as the deterministic tiebreak;
+// entries move to the ready Queue when the observed time passes their
+// stamp, and like Queue, deletion is lazy.
 type coolEntry struct {
 	nb      int64
 	job     int
@@ -163,61 +111,10 @@ func coolAhead(a, b coolEntry) bool {
 	return a.job < b.job
 }
 
-func (c *coolHeap) push(e coolEntry) {
-	c.heap = append(c.heap, e)
-	i := len(c.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !coolAhead(c.heap[i], c.heap[parent]) {
-			break
-		}
-		c.heap[i], c.heap[parent] = c.heap[parent], c.heap[i]
-		i = parent
-	}
-}
-
-// pop removes the earliest entry; callers check liveness and nb.
-func (c *coolHeap) pop() (coolEntry, bool) {
-	if len(c.heap) == 0 {
-		return coolEntry{}, false
-	}
-	top := c.heap[0]
-	last := len(c.heap) - 1
-	c.heap[0] = c.heap[last]
-	c.heap = c.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < len(c.heap) && coolAhead(c.heap[l], c.heap[best]) {
-			best = l
-		}
-		if r < len(c.heap) && coolAhead(c.heap[r], c.heap[best]) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		c.heap[i], c.heap[best] = c.heap[best], c.heap[i]
-		i = best
-	}
-	return top, true
-}
-
-func (c *coolHeap) peek() (coolEntry, bool) {
-	if len(c.heap) == 0 {
-		return coolEntry{}, false
-	}
-	return c.heap[0], true
-}
-
-// leaseHeap orders live leases by deadline so expiry sweeps are O(log n)
-// per expiry instead of a scan over every job. Same lazy-deletion scheme:
-// completing or failing a lease leaves its entry behind to be skipped.
-type leaseHeap struct {
-	heap []leaseEntry
-}
-
+// leaseEntry is a live lease. The lease heap orders them by deadline so
+// expiry sweeps are O(log n) per expiry instead of a scan over every job.
+// Same lazy-deletion scheme: completing or failing a lease leaves its
+// entry behind to be skipped.
 type leaseEntry struct {
 	deadline int64
 	job      int
@@ -229,51 +126,4 @@ func leaseAhead(a, b leaseEntry) bool {
 		return a.deadline < b.deadline
 	}
 	return a.job < b.job
-}
-
-func (h *leaseHeap) push(e leaseEntry) {
-	h.heap = append(h.heap, e)
-	i := len(h.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !leaseAhead(h.heap[i], h.heap[parent]) {
-			break
-		}
-		h.heap[i], h.heap[parent] = h.heap[parent], h.heap[i]
-		i = parent
-	}
-}
-
-func (h *leaseHeap) pop() (leaseEntry, bool) {
-	if len(h.heap) == 0 {
-		return leaseEntry{}, false
-	}
-	top := h.heap[0]
-	last := len(h.heap) - 1
-	h.heap[0] = h.heap[last]
-	h.heap = h.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < len(h.heap) && leaseAhead(h.heap[l], h.heap[best]) {
-			best = l
-		}
-		if r < len(h.heap) && leaseAhead(h.heap[r], h.heap[best]) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		h.heap[i], h.heap[best] = h.heap[best], h.heap[i]
-		i = best
-	}
-	return top, true
-}
-
-func (h *leaseHeap) peek() (leaseEntry, bool) {
-	if len(h.heap) == 0 {
-		return leaseEntry{}, false
-	}
-	return h.heap[0], true
 }

@@ -3,6 +3,8 @@ package simq
 import (
 	"sort"
 	"testing"
+
+	"hplsim/internal/binheap"
 )
 
 // splitmix64 is the tests' deterministic PRNG (math/rand is banned in
@@ -199,14 +201,14 @@ func TestQueueModel(t *testing.T) {
 }
 
 func TestCoolHeapOrder(t *testing.T) {
-	var c coolHeap
+	c := binheap.New(coolAhead)
 	seed := uint64(3)
 	for i := 0; i < 100; i++ {
-		c.push(coolEntry{nb: int64(splitmix64(&seed) % 1000), job: i, attempt: 1})
+		c.Push(coolEntry{nb: int64(splitmix64(&seed) % 1000), job: i, attempt: 1})
 	}
 	prev := coolEntry{nb: -1}
 	for i := 0; i < 100; i++ {
-		e, ok := c.pop()
+		e, ok := c.Pop()
 		if !ok {
 			t.Fatalf("cool heap empty after %d pops", i)
 		}
@@ -218,14 +220,14 @@ func TestCoolHeapOrder(t *testing.T) {
 }
 
 func TestLeaseHeapOrder(t *testing.T) {
-	var h leaseHeap
+	h := binheap.New(leaseAhead)
 	seed := uint64(5)
 	for i := 0; i < 100; i++ {
-		h.push(leaseEntry{deadline: int64(splitmix64(&seed) % 1000), job: i, attempt: 1})
+		h.Push(leaseEntry{deadline: int64(splitmix64(&seed) % 1000), job: i, attempt: 1})
 	}
 	prev := leaseEntry{deadline: -1}
 	for i := 0; i < 100; i++ {
-		e, ok := h.pop()
+		e, ok := h.Pop()
 		if !ok {
 			t.Fatalf("lease heap empty after %d pops", i)
 		}

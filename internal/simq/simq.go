@@ -16,6 +16,7 @@ package simq
 
 import (
 	"fmt"
+	"hash/fnv"
 
 	"hplsim/internal/sim"
 )
@@ -126,8 +127,8 @@ func (c Config) Backoff(attempt int) sim.Duration {
 	return d
 }
 
-// FNV-1a, the repository's standard cheap fingerprint (same constants as
-// the schedcheck dispatch fingerprint).
+// FNV-1a constants for Chaos.Hit, which folds words rather than hashing a
+// byte slice (same constants as the schedcheck dispatch fingerprint).
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
@@ -138,11 +139,9 @@ const (
 // re-running the same job must produce the same fingerprint — that is the
 // determinism contract at the service boundary.
 func Fingerprint(b []byte) uint64 {
-	h := uint64(fnvOffset)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * fnvPrime
-	}
-	return h
+	h := fnv.New64a()
+	_, _ = h.Write(b) // hash.Hash.Write never returns an error
+	return h.Sum64()
 }
 
 // FingerprintString renders fp in the fixed-width hex form records use.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"hplsim/internal/binheap"
 	"hplsim/internal/invariant"
 )
 
@@ -34,8 +35,8 @@ type State struct {
 	ids      []int // sorted job IDs, maintained incrementally
 	nextID   int
 	ready    *Queue
-	cooling  coolHeap
-	leases   leaseHeap
+	cooling  binheap.Heap[coolEntry]
+	leases   binheap.Heap[leaseEntry]
 	inflight map[string]int // client -> pending+leased jobs
 	draining bool
 
@@ -67,6 +68,8 @@ func NewState(cfg Config) *State {
 		cfg:      cfg.WithDefaults(),
 		jobs:     make(map[int]*jobInfo),
 		ready:    NewQueue(cfg.AgingRate),
+		cooling:  binheap.New(coolAhead),
+		leases:   binheap.New(leaseAhead),
 		inflight: make(map[string]int),
 	}
 }
@@ -127,11 +130,11 @@ func (s *State) liveReady(job, attempt int) bool {
 // happens to observe cannot diverge replay from the original run.
 func (s *State) sweep(now int64) {
 	for {
-		top, ok := s.cooling.peek()
+		top, ok := s.cooling.Peek()
 		if !ok || top.nb > now {
 			return
 		}
-		s.cooling.pop()
+		s.cooling.Pop()
 		j := s.jobs[top.job]
 		if j == nil || j.state != Pending || j.attempt+1 != top.attempt {
 			continue // stale: job moved on while cooling
@@ -158,7 +161,7 @@ func (s *State) PeekClaim(now int64) (job, attempt int, ok bool) {
 // remain, before any other transition at now.
 func (s *State) NextExpiry(now int64) (job, attempt int, ok bool) {
 	for {
-		top, ok := s.leases.peek()
+		top, ok := s.leases.Peek()
 		if !ok || top.deadline > now {
 			if invariant.Enabled {
 				s.checkState()
@@ -167,7 +170,7 @@ func (s *State) NextExpiry(now int64) (job, attempt int, ok bool) {
 		}
 		j := s.jobs[top.job]
 		if j == nil || j.state != Leased || j.attempt != top.attempt {
-			s.leases.pop() // stale: lease already resolved
+			s.leases.Pop() // stale: lease already resolved
 			continue
 		}
 		if invariant.Enabled {
@@ -277,7 +280,7 @@ func (s *State) applyClaim(rec Record) error {
 	j.notBefore = 0
 	s.counts[Pending]--
 	s.counts[Leased]++
-	s.leases.push(leaseEntry{deadline: rec.Deadline, job: job, attempt: attempt})
+	s.leases.Push(leaseEntry{deadline: rec.Deadline, job: job, attempt: attempt})
 	return nil
 }
 
@@ -338,7 +341,7 @@ func (s *State) applyResolve(rec Record, workerReported bool) error {
 		j.worker = ""
 		j.deadline = 0
 		s.counts[Pending]++
-		s.cooling.push(coolEntry{nb: rec.NB, job: j.id, attempt: j.attempt + 1, submit: j.submit})
+		s.cooling.Push(coolEntry{nb: rec.NB, job: j.id, attempt: j.attempt + 1, submit: j.submit})
 	} else {
 		j.state = Failed
 		j.errMsg = rec.Err
